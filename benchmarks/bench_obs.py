@@ -54,7 +54,7 @@ from repro.phylo.rates import GammaRates  # noqa: E402
 from repro.phylo.tree import Tree  # noqa: E402
 
 #: Guard evaluations a single kernel dispatch performs on the hot path
-#: (one in ``_BackendBase._finish``; wave/plan guards amortise over many
+#: (one in ``_BackendBase._record``; wave/plan guards amortise over many
 #: dispatches but are counted here anyway, erring on the high side).
 PROBES_PER_DISPATCH = 3
 

@@ -8,11 +8,19 @@ kernel API; this module is that layer for the reproduction.
 
 A :class:`KernelBackend` provides the four PLF kernels of Section IV
 (``newview`` in its three tip cases, ``evaluate``, ``derivativeSum``,
-``derivativeCore``).  :class:`~repro.core.engine.LikelihoodEngine` — and
+``derivativeCore``) plus the gradient up-sweep's pre-order partials and
+fused edge gradient.  :class:`~repro.core.engine.LikelihoodEngine` — and
 every engine built on it (memsave, CAT, +I, partitioned, fork-join,
-distributed) — dispatches exclusively through its backend, so a new
-implementation (JIT-compiled, process-parallel, GPU-style batched) is a
-drop-in: implement the protocol, call :func:`register_backend`.
+distributed) — dispatches exclusively through its backend.
+
+The layer is table-driven: :data:`KERNEL_SPECS` has one
+:class:`KernelSpec` row per public entry point (its kind, site-count
+operand, counted operands and result type), and :class:`_BackendBase`
+builds every public method from it around one dispatch wrapper that
+owns timing, the :class:`KernelProfile` and the obs spans.  A new
+implementation (JIT-compiled, process-parallel, GPU-style batched)
+derives from the base, supplies the handful of site-phase primitives
+listed there, and calls :func:`register_backend`.
 
 Shipped backends
 ----------------
@@ -32,6 +40,8 @@ Shipped backends
     test and search run into a cross-backend correctness oracle
     (``REPRO_BACKEND=shadow pytest`` checks blocked-vs-reference parity
     end-to-end).
+``compiled``
+    Generated C kernels (:mod:`repro.core.ckernels`), registered last.
 
 Every backend records a per-kernel :class:`KernelProfile` (calls, wall
 seconds, bytes moved) extending
@@ -47,9 +57,11 @@ an explicit one.
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -57,11 +69,11 @@ import numpy as np
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from . import kernels
-from .scaling import LOG_SCALE_STEP, rescale_clv
+from .scaling import rescale_clv
 from .traversal import (
-    PAPER_KERNEL_KEYS,
     KernelCounters,
     KernelKind,
+    merged_by_key,
     merged_kernel_key,
 )
 
@@ -74,6 +86,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "DEFAULT_BACKEND_ENV",
+    "KERNEL_SPECS",
+    "KernelSpec",
+    "KernelResult",
     "KernelProfile",
     "KernelBackend",
     "BackendInfo",
@@ -96,44 +111,8 @@ DEFAULT_BACKEND_ENV = "REPRO_BACKEND"
 # ----------------------------------------------------------------------
 # profiling
 # ----------------------------------------------------------------------
-def _observe_kernel(
-    kind: KernelKind,
-    backend_name: str,
-    n_patterns: int,
-    t_start: float,
-    elapsed_s: float,
-    nbytes: int,
-) -> None:
-    """Mirror one kernel dispatch into the obs layer (tracer + metrics).
-
-    Callers gate on :data:`repro.obs.spans.ENABLED` *before* calling, so
-    disabled runs pay only that flag check.  The span rides on the
-    interval the dispatcher already measured for its
-    :class:`KernelProfile` — the two views of kernel time are therefore
-    identical by construction, which is what lets
-    :func:`repro.perf.trace.trace_from_spans` feed the measured-costs
-    calibration path from a saved trace alone.
-    """
-    _obs.get_tracer().add_complete(
-        "kernel." + kind.value,
-        t_start,
-        t_start + elapsed_s,
-        args={
-            "patterns": int(n_patterns),
-            "bytes": int(nbytes),
-            "backend": backend_name,
-        },
-    )
-    reg = _obs_metrics.get_registry()
-    reg.counter(
-        "repro_kernel_dispatch_total", "PLF kernel dispatches"
-    ).inc()
-    key = merged_kernel_key(kind)
-    reg.histogram(
-        "repro_kernel_seconds_" + key,
-        f"wall seconds per {key} dispatch",
-    ).observe(elapsed_s)
-
+#: The per-kind totals of a :class:`KernelProfile` and their value types.
+_PER_KIND = {"calls": int, "site_units": int, "seconds": float, "bytes_moved": int}
 
 
 @dataclass
@@ -182,71 +161,133 @@ class KernelProfile(KernelCounters):
         """
         super().merge(other)
         if isinstance(other, KernelProfile):
-            for kind, s in other.seconds.items():
-                self.seconds[kind] = self.seconds.get(kind, 0.0) + s
-            for kind, b in other.bytes_moved.items():
-                self.bytes_moved[kind] = self.bytes_moved.get(kind, 0) + b
+            for mine, theirs in ((self.seconds, other.seconds),
+                                 (self.bytes_moved, other.bytes_moved)):
+                for kind, v in theirs.items():
+                    mine[kind] = mine.get(kind, 0) + v
 
     def to_dict(self) -> dict:
         """Picklable plain-dict form (for cross-process profile reports)."""
-        return {
-            "calls": {k.value: v for k, v in self.calls.items()},
-            "site_units": {k.value: v for k, v in self.site_units.items()},
-            "reductions": self.reductions,
-            "seconds": {k.value: v for k, v in self.seconds.items()},
-            "bytes_moved": {k.value: v for k, v in self.bytes_moved.items()},
-        }
+        out = {f: {k.value: v for k, v in getattr(self, f).items()}
+               for f in _PER_KIND}
+        out["reductions"] = self.reductions
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelProfile":
         p = cls()
-        p.calls = {KernelKind(k): int(v) for k, v in d.get("calls", {}).items()}
-        p.site_units = {
-            KernelKind(k): int(v) for k, v in d.get("site_units", {}).items()
-        }
+        for f, cast in _PER_KIND.items():
+            setattr(p, f, {KernelKind(k): cast(v) for k, v in d.get(f, {}).items()})
         p.reductions = int(d.get("reductions", 0))
-        p.seconds = {KernelKind(k): float(v) for k, v in d.get("seconds", {}).items()}
-        p.bytes_moved = {
-            KernelKind(k): int(v) for k, v in d.get("bytes_moved", {}).items()
-        }
         return p
 
     # -- aggregation to the merged kernel names ------------------------
     def merged_seconds(self) -> dict[str, float]:
-        """Wall seconds aggregated to the merged kernel names.
-
-        Like :meth:`KernelCounters.merged`, seeded with the paper's four
-        families only; up-sweep families appear once observed.
-        """
-        out = {k: 0.0 for k in PAPER_KERNEL_KEYS}
-        for kind, s in self.seconds.items():
-            key = merged_kernel_key(kind)
-            out[key] = out.get(key, 0.0) + s
-        return out
+        """Wall seconds aggregated like :meth:`KernelCounters.merged`."""
+        return merged_by_key(self.seconds, 0.0)
 
     def merged_bytes(self) -> dict[str, int]:
         """Bytes moved aggregated like :meth:`merged_seconds`."""
-        out = {k: 0 for k in PAPER_KERNEL_KEYS}
-        for kind, b in self.bytes_moved.items():
-            key = merged_kernel_key(kind)
-            out[key] = out.get(key, 0) + b
-        return out
+        return merged_by_key(self.bytes_moved)
 
-    def seconds_per_site_unit(self) -> dict[str, float]:
-        """Measured seconds per (pattern x call) unit, per paper kernel."""
-        units = self.merged_site_units()
-        return {
-            k: (s / units[k] if units[k] else 0.0)
-            for k, s in self.merged_seconds().items()
-        }
 
-    def bytes_per_site_unit(self) -> dict[str, float]:
-        """Measured bytes per (pattern x call) unit, per paper kernel."""
-        units = self.merged_site_units()
-        return {
-            k: (b / units[k] if units[k] else 0.0)
-            for k, b in self.merged_bytes().items()
-        }
+# ----------------------------------------------------------------------
+# the kernel table
+# ----------------------------------------------------------------------
+class KernelResult(str, Enum):
+    """What an entry point returns; fixes its output bytes and comparator."""
+
+    CLA = "cla"  # (z, scale): CLA allclose, scale counters exact
+    ARRAY = "array"  # one per-pattern array, allclose
+    TERMS = "terms"  # per-pattern (l0, l1, l2) arrays, allclose
+    SCALARS = "scalars"  # a float or a tuple of floats, isclose; no bytes
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """One public kernel entry point of every backend.
+
+    ``params`` names the positional operands; ``sites`` is the operand
+    whose leading axis is the site count; ``reads`` are the operands
+    that count toward ``bytes_moved`` (array outputs always count);
+    ``phase`` names the backend method that computes the result — a
+    site-phase primitive, or a shared phase in :class:`_BackendBase`
+    built on the primitives.
+    """
+
+    method: str
+    kind: KernelKind
+    phase: str
+    params: str
+    sites: str
+    reads: str
+    result: KernelResult
+
+
+_TT = "u_inv lookup1 codes1 lookup2 codes2"
+_TI = "u_inv lookup1 codes1 a2 z2 scale2"
+_II = "u_inv a1 a2 z1 z2 scale1 scale2"
+_DF = "eigenvalues rates rate_weights t"
+
+
+def _cla(kind: KernelKind, phase: str, params: str, sites: str) -> KernelSpec:
+    """A newview / pre-order row: every operand but ``u_inv`` is read."""
+    reads = params.split(maxsplit=1)[1]
+    return KernelSpec(
+        kind.value, kind, phase, params, sites, reads, KernelResult.CLA
+    )
+
+
+#: The 13 public entry points.  Pre-order partials are the newview
+#: primitives under their own counter kinds.
+KERNEL_SPECS: tuple[KernelSpec, ...] = (
+    _cla(KernelKind.NEWVIEW_TIP_TIP, "_tip_tip", _TT, "codes1"),
+    _cla(KernelKind.NEWVIEW_TIP_INNER, "_tip_inner", _TI, "z2"),
+    _cla(KernelKind.NEWVIEW_INNER_INNER, "_inner_inner", _II, "z1"),
+    _cla(KernelKind.PREORDER_TIP_TIP, "_tip_tip", _TT, "codes1"),
+    _cla(KernelKind.PREORDER_TIP_INNER, "_tip_inner", _TI, "z2"),
+    _cla(KernelKind.PREORDER_INNER_INNER, "_inner_inner", _II, "z1"),
+    KernelSpec(
+        "site_log_likelihoods", KernelKind.EVALUATE, "_site_log_likelihoods",
+        "z_left z_right exps rate_weights scale_counts", "z_left",
+        "z_left z_right exps scale_counts", KernelResult.ARRAY,
+    ),
+    KernelSpec(
+        "evaluate_edge", KernelKind.EVALUATE, "_evaluate_edge",
+        "z_left z_right exps rate_weights pattern_weights scale_counts",
+        "z_left", "z_left z_right exps pattern_weights scale_counts",
+        KernelResult.SCALARS,
+    ),
+    KernelSpec(
+        "derivative_sum", KernelKind.DERIVATIVE_SUM, "_product",
+        "z_left z_right", "z_left", "z_left z_right", KernelResult.ARRAY,
+    ),
+    KernelSpec(
+        "derivative_core", KernelKind.DERIVATIVE_CORE, "_derivative_core",
+        f"sumbuf {_DF} pattern_weights", "sumbuf", "sumbuf pattern_weights",
+        KernelResult.SCALARS,
+    ),
+    KernelSpec(
+        "derivative_site_terms", KernelKind.DERIVATIVE_CORE,
+        "_derivative_site_terms", f"sumbuf {_DF}", "sumbuf", "sumbuf",
+        KernelResult.TERMS,
+    ),
+    KernelSpec(
+        "edge_gradient", KernelKind.EDGE_GRADIENT, "_edge_gradient",
+        f"z_top z_bottom {_DF} pattern_weights", "z_top",
+        "z_top z_bottom pattern_weights", KernelResult.SCALARS,
+    ),
+    KernelSpec(
+        "edge_gradient_terms", KernelKind.EDGE_GRADIENT,
+        "_edge_gradient_terms", f"z_top z_bottom {_DF}", "z_top",
+        "z_top z_bottom", KernelResult.TERMS,
+    ),
+)
+
+#: ``KernelKind -> spec`` for the CLA-producing (newview/pre-order) rows.
+CLA_SPECS: dict[KernelKind, KernelSpec] = {
+    s.kind: s for s in KERNEL_SPECS if s.result is KernelResult.CLA
+}
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +314,8 @@ class KernelBackend(Protocol):
     independent ``newview`` ops with prepared operands.  The plan
     executor uses it for whole-wave dispatch when present and falls back
     to a per-op loop otherwise, so implementing it is purely an
-    optimisation (see :class:`BlockedBackend` for a real stacked
-    implementation).
+    optimisation.  Backends derived from :class:`_BackendBase` get it by
+    supplying a ``_pair_table`` primitive.
     """
 
     name: str
@@ -344,41 +385,22 @@ class KernelBackend(Protocol):
         pattern_weights: np.ndarray,
     ) -> tuple[float, float, float]: ...
 
+    def derivative_site_terms(
+        self,
+        sumbuf: np.ndarray,
+        eigenvalues: np.ndarray,
+        rates: np.ndarray,
+        rate_weights: np.ndarray,
+        t: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
     # -- bidirectional-plan kernels (gradient up-sweep) ----------------
-    # Pre-order partials share the newview signatures (the arithmetic is
-    # identical; only the counted KernelKind differs), and the fused
-    # edge-gradient kernel replaces a derivativeSum + derivativeCore
-    # pair.  Engines fall back to the newview / derivative kernels when
-    # a third-party backend predates these methods.
-    def preorder_tip_tip(
-        self,
-        u_inv: np.ndarray,
-        lookup1: np.ndarray,
-        codes1: np.ndarray,
-        lookup2: np.ndarray,
-        codes2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def preorder_tip_inner(
-        self,
-        u_inv: np.ndarray,
-        lookup1: np.ndarray,
-        codes1: np.ndarray,
-        a2: np.ndarray,
-        z2: np.ndarray,
-        scale2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def preorder_inner_inner(
-        self,
-        u_inv: np.ndarray,
-        a1: np.ndarray,
-        a2: np.ndarray,
-        z1: np.ndarray,
-        z2: np.ndarray,
-        scale1: np.ndarray,
-        scale2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]: ...
+    # Pre-order partials are the newview kernels (only the counted
+    # KernelKind differs), and the fused edge-gradient kernel replaces a
+    # derivativeSum + derivativeCore pair.
+    preorder_tip_tip = newview_tip_tip
+    preorder_tip_inner = newview_tip_inner
+    preorder_inner_inner = newview_inner_inner
 
     def edge_gradient(
         self,
@@ -391,9 +413,84 @@ class KernelBackend(Protocol):
         pattern_weights: np.ndarray,
     ) -> tuple[float, float, float]: ...
 
+    def edge_gradient_terms(
+        self,
+        z_top: np.ndarray,
+        z_bottom: np.ndarray,
+        eigenvalues: np.ndarray,
+        rates: np.ndarray,
+        rate_weights: np.ndarray,
+        t: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+
+# ----------------------------------------------------------------------
+# the dispatch wrapper and the shared phases
+# ----------------------------------------------------------------------
+def _entry(spec: KernelSpec):
+    """Build the public method for one table row.
+
+    The one place that times a dispatch, records it in the backend's
+    :class:`KernelProfile` and mirrors it to the obs layer.
+    """
+    params = spec.params.split()
+    sites = params.index(spec.sites)
+    reads = tuple(params.index(p) for p in spec.reads.split())
+    kind, result = spec.kind, spec.result
+    perf_counter, ndarray = time.perf_counter, np.ndarray
+
+    def method(self, *args):
+        t0 = perf_counter()
+        out = self._run(spec, args)
+        elapsed = perf_counter() - t0
+        nbytes = 0
+        for i in reads:
+            a = args[i]
+            if isinstance(a, ndarray):
+                nbytes += a.nbytes
+        if result is KernelResult.ARRAY:
+            nbytes += out.nbytes
+        elif result is not KernelResult.SCALARS:
+            for a in out:
+                nbytes += a.nbytes
+        self._record(kind, args[sites].shape[0], t0, elapsed, nbytes)
+        return out
+
+    method.__name__ = spec.method
+    method.__qualname__ = f"_BackendBase.{spec.method}"
+    method.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_ONLY)]
+        + [inspect.Parameter(p, inspect.Parameter.POSITIONAL_ONLY)
+           for p in params]
+    )
+    method.__doc__ = (
+        f"``{spec.kind.value}`` kernel (see :data:`KERNEL_SPECS`); "
+        f"computed by ``{spec.phase}``."
+    )
+    return method
+
 
 class _BackendBase:
-    """Shared profiling plumbing for concrete backends."""
+    """The table-driven kernel layer every concrete backend derives from.
+
+    The public methods are built once from :data:`KERNEL_SPECS`.  A
+    backend supplies only its site-phase primitives:
+
+    * ``_tip_tip`` / ``_tip_inner`` / ``_inner_inner`` — CLA updates
+      with the :mod:`repro.core.kernels` ``newview_*`` signatures;
+    * ``_site_likelihoods(z_left, z_right, exps, rate_weights)`` —
+      linear-scale per-pattern likelihoods;
+    * ``_product(z_left, z_right)`` — the element-wise CLA product;
+    * ``_factor_terms(sumbuf, m0, m1, m2)`` — per-pattern ``(l0, l1,
+      l2)`` against the :func:`kernels.derivative_factors` tables;
+    * ``_gradient_terms(z_top, z_bottom, m0, m1, m2)`` — the same,
+      fused with the product;
+    * optionally ``_pair_table(u_inv, lut1, lut2)`` — the all-pairs
+      tip-tip table, which turns on the shared :meth:`newview_batch`.
+
+    The log, the positivity check, the factor tables and the reductions
+    are the shared phases below, written once.
+    """
 
     name = "base"
     description = ""
@@ -401,19 +498,156 @@ class _BackendBase:
     def __init__(self) -> None:
         self.profile = KernelProfile()
 
-    def _finish(
-        self, kind: KernelKind, n_patterns: int, t0: float, *arrays
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "_pair_table") and not hasattr(cls, "newview_batch"):
+            cls.newview_batch = _newview_batch
+
+    # -- dispatch ------------------------------------------------------
+    def _run(self, spec: KernelSpec, args: tuple):
+        """Compute one entry point (overridden by the shadow backend)."""
+        return self._call(spec.phase, args)
+
+    def _call(self, phase: str, args: tuple):
+        """Run one phase (overridden by the compiled backend's fallback)."""
+        return getattr(self, phase)(*args)
+
+    def _record(
+        self, kind: KernelKind, n_patterns: int, t0: float, elapsed: float,
+        nbytes: int,
     ) -> None:
-        elapsed = time.perf_counter() - t0
-        nbytes = sum(
-            a.nbytes for a in arrays if isinstance(a, np.ndarray)
-        )
+        """Account one dispatch in the profile and, if tracing, the obs layer.
+
+        Disabled runs pay only the :data:`repro.obs.spans.ENABLED` check.
+        The span rides on the interval already measured for the
+        :class:`KernelProfile` — the two views of kernel time are
+        therefore identical by construction, which is what lets
+        :func:`repro.perf.trace.trace_from_spans` feed the measured-costs
+        calibration path from a saved trace alone.
+        """
         self.profile.record_timed(kind, n_patterns, elapsed, nbytes)
-        if _obs.ENABLED:
-            _observe_kernel(kind, self.name, n_patterns, t0, elapsed, nbytes)
+        if not _obs.ENABLED:
+            return
+        _obs.get_tracer().add_complete(
+            "kernel." + kind.value, t0, t0 + elapsed,
+            args={"patterns": int(n_patterns), "bytes": int(nbytes),
+                  "backend": self.name},
+        )
+        reg = _obs_metrics.get_registry()
+        reg.counter("repro_kernel_dispatch_total", "PLF kernel dispatches").inc()
+        key = merged_kernel_key(kind)
+        reg.histogram(
+            "repro_kernel_seconds_" + key, f"wall seconds per {key} dispatch"
+        ).observe(elapsed)
+
+    # -- shared scalar phases ------------------------------------------
+    def _site_log_likelihoods(self, z_left, z_right, exps, rate_weights,
+                              scale_counts):
+        return kernels.log_site_likelihoods(
+            self._site_likelihoods(z_left, z_right, exps, rate_weights),
+            scale_counts,
+        )
+
+    def _evaluate_edge(self, z_left, z_right, exps, rate_weights,
+                       pattern_weights, scale_counts):
+        lnls = self._site_log_likelihoods(
+            z_left, z_right, exps, rate_weights, scale_counts
+        )
+        return float(np.dot(lnls, pattern_weights))
+
+    def _derivative_site_terms(self, sumbuf, eigenvalues, rates,
+                               rate_weights, t):
+        return self._factor_terms(
+            sumbuf, *kernels.derivative_factors(eigenvalues, rates,
+                                                rate_weights, t)
+        )
+
+    def _derivative_core(self, sumbuf, eigenvalues, rates, rate_weights, t,
+                         pattern_weights):
+        return kernels.derivative_reduce(
+            *self._derivative_site_terms(sumbuf, eigenvalues, rates,
+                                         rate_weights, t),
+            pattern_weights,
+        )
+
+    def _edge_gradient_terms(self, z_top, z_bottom, eigenvalues, rates,
+                             rate_weights, t):
+        return self._gradient_terms(
+            z_top, z_bottom,
+            *kernels.derivative_factors(eigenvalues, rates, rate_weights, t),
+        )
+
+    def _edge_gradient(self, z_top, z_bottom, eigenvalues, rates,
+                       rate_weights, t, pattern_weights):
+        return kernels.derivative_reduce(
+            *self._edge_gradient_terms(z_top, z_bottom, eigenvalues, rates,
+                                       rate_weights, t),
+            pattern_weights,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+for _spec in KERNEL_SPECS:
+    setattr(_BackendBase, _spec.method, _entry(_spec))
+del _spec
+
+
+def _newview_batch(self, calls) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stacked ``newview`` dispatch for one wave of independent ops.
+
+    The real win is the **tip-tip pair table**: within a wave, all
+    tip-tip ops sharing the same two tip-lookup operands (the engine
+    caches operands per branch *length*, so equal-length cherries share
+    them — this is where P-matrix construction amortises) reduce to
+    gathers from one precomputed table
+
+        T[m, n, c, k] = sum_i u_inv[k, i] lut1[c, m, i] lut2[c, n, i]
+
+    over the (tiny) code alphabet, turning four memory passes per op
+    into a single contiguous gather ``z = T[codes1, codes2]``.  The
+    backend's ``_pair_table`` builds ``T`` with the same per-site
+    arithmetic as its tip-tip kernel, so gathered CLAs match per-op
+    dispatch.
+
+    Tip-inner / inner-inner ops and tables that would not pay
+    (``m1 * m2`` beyond ``pair_table_max``, or fewer patterns than table
+    entries) go through the per-op entry points.  Each gather is
+    profiled and traced as one dispatch of its kind; the shared table
+    build is charged to the group's first gather.  Results are returned
+    in call order.
+    """
+    results: list = [None] * len(calls)
+    groups: dict[tuple, list[int]] = {}
+    for i, call in enumerate(calls):
+        spec = CLA_SPECS[call.kind]
+        if spec.phase == "_tip_tip":
+            u_inv, lut1, codes1, lut2, _ = call.args
+            entries = lut1.shape[1] * lut2.shape[1]
+            if entries <= self.pair_table_max and codes1.shape[0] >= entries:
+                groups.setdefault(
+                    (call.kind, id(u_inv), id(lut1), id(lut2)), []
+                ).append(i)
+                continue
+        results[i] = getattr(self, spec.method)(*call.args)
+    for (kind, *_ids), idxs in groups.items():
+        u_inv, lut1, _, lut2, _ = calls[idxs[0]].args
+        t_table0 = time.perf_counter()
+        table = self._call("_pair_table", (u_inv, lut1, lut2))
+        table_s = time.perf_counter() - t_table0
+        for j, i in enumerate(idxs):
+            codes1, codes2 = calls[i].args[2], calls[i].args[4]
+            t0 = time.perf_counter()
+            z = table[codes1, codes2]
+            sc = np.zeros(codes1.shape[0], dtype=np.int64)
+            elapsed = time.perf_counter() - t0
+            if j == 0:
+                t0, elapsed = t_table0, elapsed + table_s
+            nbytes = codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes
+            self._record(kind, codes1.shape[0], t0, elapsed, nbytes)
+            results[i] = (z, sc)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -425,157 +659,39 @@ class ReferenceBackend(_BackendBase):
     name = "reference"
     description = "NumPy reference kernels, whole-array (ground truth)"
 
-    def newview_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_tip_tip(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_TIP, z.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
+    _tip_tip = staticmethod(kernels.newview_tip_tip)
+    _tip_inner = staticmethod(kernels.newview_tip_inner)
+    _inner_inner = staticmethod(kernels.newview_inner_inner)
+    _site_likelihoods = staticmethod(kernels.site_likelihoods)
+    _product = staticmethod(kernels.derivative_sum)
+    _factor_terms = staticmethod(kernels.factor_site_terms)
 
-    def newview_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_tip_inner(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_INNER, z.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    def newview_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_inner_inner(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_INNER_INNER, z.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    def site_log_likelihoods(self, z_left, z_right, exps, rate_weights, scale_counts):
-        t0 = time.perf_counter()
-        out = kernels.site_log_likelihoods(
-            z_left, z_right, exps, rate_weights, scale_counts
-        )
-        self._finish(
-            KernelKind.EVALUATE, z_left.shape[0], t0,
-            z_left, z_right, exps, scale_counts, out,
-        )
-        return out
-
-    def evaluate_edge(
-        self, z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        lnl = kernels.evaluate_edge(
-            z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-        )
-        self._finish(
-            KernelKind.EVALUATE, z_left.shape[0], t0,
-            z_left, z_right, exps, pattern_weights, scale_counts,
-        )
-        return lnl
-
-    def derivative_sum(self, z_left, z_right):
-        t0 = time.perf_counter()
-        out = kernels.derivative_sum(z_left, z_right)
-        self._finish(
-            KernelKind.DERIVATIVE_SUM, z_left.shape[0], t0, z_left, z_right, out
-        )
-        return out
-
-    def derivative_core(
-        self, sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        out = kernels.derivative_core(
-            sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0, sumbuf, pattern_weights
-        )
-        return out
-
-    def derivative_site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        """Site phase of ``derivativeCore`` (per-pattern ``l, l', l''``).
-
-        Used by parallel engines: workers compute their slice's terms,
-        the master gathers and reduces (:func:`kernels.derivative_reduce`)
-        in a fixed order, so results match sequential bit-for-bit.
-        """
-        t0 = time.perf_counter()
-        out = kernels.derivative_site_terms(
-            sumbuf, eigenvalues, rates, rate_weights, t
-        )
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0, sumbuf, *out
-        )
-        return out
-
-    # -- bidirectional-plan kernels ------------------------------------
-    def preorder_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_tip_tip(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.PREORDER_TIP_TIP, z.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
-
-    def preorder_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_tip_inner(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.PREORDER_TIP_INNER, z.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    def preorder_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = kernels.newview_inner_inner(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.PREORDER_INNER_INNER, z.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    def edge_gradient(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        out = kernels.edge_gradient(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        self._finish(
-            KernelKind.EDGE_GRADIENT, z_top.shape[0], t0,
-            z_top, z_bottom, pattern_weights,
-        )
-        return out
-
-    def edge_gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        """Site phase of the fused gradient kernel (per-pattern terms).
-
-        The parallel mirror of :meth:`edge_gradient`: workers compute
-        their slice's terms, the master gathers in pattern order and
-        reduces (:func:`kernels.derivative_reduce`) — bit-identical to
-        the sequential fused kernel.
-        """
-        t0 = time.perf_counter()
-        out = kernels.edge_gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        self._finish(
-            KernelKind.EDGE_GRADIENT, z_top.shape[0], t0, z_top, z_bottom, *out
-        )
-        return out
+    @staticmethod
+    def _gradient_terms(z_top, z_bottom, m0, m1, m2):
+        return kernels.factor_site_terms(z_top * z_bottom, m0, m1, m2)
 
 
 # ----------------------------------------------------------------------
 # blocked backend (Sec. V-B cache blocking)
 # ----------------------------------------------------------------------
+def _tip_side(lookup: np.ndarray, codes: np.ndarray):
+    """Chunk filler for a tip child: gather ``lookup`` rows by code."""
+
+    def fill(v, start, stop):
+        np.copyto(v, lookup[:, codes[start:stop], :].transpose(1, 0, 2))
+
+    return fill
+
+
+def _inner_side(a: np.ndarray, z: np.ndarray):
+    """Chunk filler for an inner child: ``w = A z`` per rate."""
+
+    def fill(v, start, stop):
+        np.einsum("cik,pck->pci", a, z[start:stop], out=v)
+
+    return fill
+
+
 class BlockedBackend(_BackendBase):
     """Site-chunked kernels over preallocated scratch (Sec. V-B blocking).
 
@@ -631,409 +747,129 @@ class BlockedBackend(_BackendBase):
             yield start, min(start + b, n)
 
     # -- newview -------------------------------------------------------
-    # The chunked arithmetic lives in private ``_*_impl`` helpers so the
-    # pre-order partial kernels (identical math, different KernelKind)
-    # share code and scratch with the post-order ones.
-    def _tip_tip_impl(self, u_inv, lookup1, codes1, lookup2, codes2):
+    def _newview(self, u_inv, shape, side1, side2) -> np.ndarray:
+        """Chunked ``z = U^-1 (w1 * w2)``; each side fills its ``w`` chunk."""
+        p, c, k = shape
+        z = np.empty(shape)
+        w1 = self._buf("w1", (self.block_sites, c, k))
+        w2 = self._buf("w2", (self.block_sites, c, k))
+        for start, stop in self._chunks(p):
+            v1, v2 = w1[: stop - start], w2[: stop - start]
+            side1(v1, start, stop)
+            side2(v2, start, stop)
+            v1 *= v2
+            np.einsum("ki,pci->pck", u_inv, v1, out=z[start:stop])
+        return z
+
+    def _tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
         p = codes1.shape[0]
-        c, _, k = lookup1.shape
         if p <= self.block_sites:
             return kernels.newview_tip_tip(
                 u_inv, lookup1, codes1, lookup2, codes2
             )
-        z = np.empty((p, c, k))
-        w1 = self._buf("w1", (self.block_sites, c, k))
-        for start, stop in self._chunks(p):
-            n = stop - start
-            v = w1[:n]
-            np.copyto(
-                v, lookup1[:, codes1[start:stop], :].transpose(1, 0, 2)
-            )
-            v *= lookup2[:, codes2[start:stop], :].transpose(1, 0, 2)
-            np.einsum("ki,pci->pck", u_inv, v, out=z[start:stop])
-        sc = np.zeros(p, dtype=np.int64)
-        return z, sc
+        c, _, k = lookup1.shape
+        z = self._newview(
+            u_inv, (p, c, k),
+            _tip_side(lookup1, codes1), _tip_side(lookup2, codes2),
+        )
+        return z, np.zeros(p, dtype=np.int64)
 
-    def _tip_inner_impl(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        p, c, k = z2.shape
-        if p <= self.block_sites:
+    def _tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
+        if z2.shape[0] <= self.block_sites:
             return kernels.newview_tip_inner(
                 u_inv, lookup1, codes1, a2, z2, scale2
             )
-        z = np.empty((p, c, k))
+        z = self._newview(
+            u_inv, z2.shape, _tip_side(lookup1, codes1), _inner_side(a2, z2)
+        )
         sc = scale2.copy()
-        w1 = self._buf("w1", (self.block_sites, c, k))
-        w2 = self._buf("w2", (self.block_sites, c, k))
-        for start, stop in self._chunks(p):
-            n = stop - start
-            v1, v2 = w1[:n], w2[:n]
-            np.copyto(
-                v1, lookup1[:, codes1[start:stop], :].transpose(1, 0, 2)
-            )
-            np.einsum("cik,pck->pci", a2, z2[start:stop], out=v2)
-            v1 *= v2
-            np.einsum("ki,pci->pck", u_inv, v1, out=z[start:stop])
         rescale_clv(z, sc)
         return z, sc
 
-    def _inner_inner_impl(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        p, c, k = z1.shape
-        if p <= self.block_sites:
+    def _inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
+        if z1.shape[0] <= self.block_sites:
             return kernels.newview_inner_inner(
                 u_inv, a1, a2, z1, z2, scale1, scale2
             )
-        z = np.empty((p, c, k))
+        z = self._newview(
+            u_inv, z1.shape, _inner_side(a1, z1), _inner_side(a2, z2)
+        )
         sc = scale1 + scale2
-        w1 = self._buf("w1", (self.block_sites, c, k))
-        w2 = self._buf("w2", (self.block_sites, c, k))
-        for start, stop in self._chunks(p):
-            n = stop - start
-            v1, v2 = w1[:n], w2[:n]
-            np.einsum("cik,pck->pci", a1, z1[start:stop], out=v1)
-            np.einsum("cik,pck->pci", a2, z2[start:stop], out=v2)
-            v1 *= v2
-            np.einsum("ki,pci->pck", u_inv, v1, out=z[start:stop])
         rescale_clv(z, sc)
         return z, sc
 
-    def newview_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
+    @staticmethod
+    def _pair_table(u_inv, lut1, lut2):
+        # (c, m, n, i): (l1 * l2) exactly as the per-op kernels
+        # associate, then the u_inv contraction -> (m, n, c, k).
+        prod = lut1[:, :, None, :] * lut2[:, None, :, :]
+        return np.einsum("ki,cmni->mnck", u_inv, prod)
 
-    def newview_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
+    def _products(self, key: str, a, b, shape):
+        """``(start, stop, a * b)`` per chunk, the product in scratch.
 
-    def newview_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    # -- pre-order partials (gradient up-sweep) ------------------------
-    def preorder_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.PREORDER_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
-
-    def preorder_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.PREORDER_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    def preorder_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.PREORDER_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    # -- stacked wave dispatch (optional backend extension) ------------
-    def newview_batch(self, calls) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Stacked ``newview`` dispatch for one wave of independent ops.
-
-        The real win is the **tip-tip pair table**: within a wave, all
-        tip-tip ops sharing the same two tip-lookup operands (the engine
-        caches operands per branch *length*, so equal-length cherries
-        share them — this is where P-matrix construction amortises)
-        reduce to gathers from one precomputed table
-
-            T[m, n, c, k] = sum_i u_inv[k, i] lut1[c, m, i] lut2[c, n, i]
-
-        over the (tiny) code alphabet, turning four memory passes per op
-        into a single contiguous gather ``z = T[codes1, codes2]``.  The
-        per-site arithmetic (``(l1 * l2)`` then the ``u_inv``
-        contraction, summed over ``i`` in ascending order) matches the
-        reference kernel's association, so CLAs agree to round-off.
-
-        Tip-inner / inner-inner ops and tables that would not pay
-        (``m1 * m2`` beyond :attr:`pair_table_max`, or fewer patterns
-        than table entries) fall back to the per-op kernels.  Results
-        are returned in call order.
+        ``shape`` is the full ``(p, c, k)`` extent; tip views broadcast a
+        length-1 rate axis.  ufunc ``out=`` is usable when the product
+        already has the full rate axis, else it broadcasts on assignment
+        (a two-tip root against a Gamma-width ``exps``).
         """
-        results: list = [None] * len(calls)
-        groups: dict[tuple, list[int]] = {}
-        for i, call in enumerate(calls):
-            case = call.kind.value.rsplit("_", 2)  # ("newview"|"preorder", x, y)
-            if case[-2:] == ["tip", "tip"]:
-                u_inv, lut1, codes1, lut2, codes2 = call.args
-                m1, m2 = lut1.shape[1], lut2.shape[1]
-                if m1 * m2 <= self.pair_table_max and codes1.shape[0] >= m1 * m2:
-                    groups.setdefault(
-                        (call.kind, id(u_inv), id(lut1), id(lut2)), []
-                    ).append(i)
-                else:
-                    results[i] = (
-                        self.newview_tip_tip(*call.args)
-                        if call.kind is KernelKind.NEWVIEW_TIP_TIP
-                        else self.preorder_tip_tip(*call.args)
-                    )
-            elif case[-1] == "inner" and case[-2] == "tip":
-                results[i] = (
-                    self.newview_tip_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_TIP_INNER
-                    else self.preorder_tip_inner(*call.args)
-                )
+        tmp = self._buf(key, (self.block_sites, *shape[1:]))
+        direct = np.broadcast_shapes(a.shape, b.shape) == shape
+        for start, stop in self._chunks(shape[0]):
+            v = tmp[: stop - start]
+            if direct:
+                np.multiply(a[start:stop], b[start:stop], out=v)
             else:
-                results[i] = (
-                    self.newview_inner_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_INNER_INNER
-                    else self.preorder_inner_inner(*call.args)
-                )
-        for (kind, *_ids), idxs in groups.items():
-            u_inv, lut1, _, lut2, _ = calls[idxs[0]].args
-            t_table0 = time.perf_counter()
-            # (c, m, n, i): (l1 * l2) exactly as the per-op kernels
-            # associate, then the u_inv contraction -> (m, n, c, k).
-            prod = lut1[:, :, None, :] * lut2[:, None, :, :]
-            table = np.einsum("ki,cmni->mnck", u_inv, prod)
-            table_s = time.perf_counter() - t_table0
-            for j, i in enumerate(idxs):
-                codes1, codes2 = calls[i].args[2], calls[i].args[4]
-                t0 = time.perf_counter()
-                z = table[codes1, codes2]
-                sc = np.zeros(codes1.shape[0], dtype=np.int64)
-                elapsed = time.perf_counter() - t0
-                if j == 0:  # charge the shared table build to the group head
-                    elapsed += table_s
-                nbytes = codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes
-                self.profile.record_timed(
-                    kind,
-                    codes1.shape[0],
-                    elapsed,
-                    nbytes,
-                )
-                if _obs.ENABLED:
-                    _observe_kernel(
-                        kind,
-                        self.name,
-                        codes1.shape[0],
-                        t_table0 if j == 0 else t0,
-                        elapsed,
-                        nbytes,
-                    )
-                results[i] = (z, sc)
-        return results
+                v[:] = a[start:stop] * b[start:stop]
+            yield start, stop, v
 
-    # -- evaluate ------------------------------------------------------
-    def _site_likelihoods(self, z_left, z_right, exps, rate_weights) -> np.ndarray:
-        """Chunked ``L_p = sum_c w_c sum_k zl zr exp`` (linear scale)."""
-        # Tip root sides broadcast a length-1 rate axis against the
-        # inner side's full one — size scratch for the broadcast shape.
-        p, c, k = np.broadcast_shapes(
-            z_left.shape, z_right.shape, (1, *exps.shape)
-        )
-        site_l = np.empty(p)
-        tmp = self._buf("ev", (min(self.block_sites, p), c, k))
-        # ufunc out= is usable when the product already has the full rate
-        # axis (at most one side is a broadcast tip view).
-        direct = np.broadcast_shapes(z_left.shape, z_right.shape)[1] == c
-        for start, stop in self._chunks(p):
-            n = stop - start
-            v = tmp[:n]
-            if direct:
-                np.multiply(z_left[start:stop], z_right[start:stop], out=v)
-            else:  # two-tip root (2-taxon tree): broadcast on assignment
-                v[:] = z_left[start:stop] * z_right[start:stop]
-            v *= exps[None, :, :]
-            np.einsum("pck,c->p", v, rate_weights, out=site_l[start:stop])
-        return site_l
-
-    def site_log_likelihoods(self, z_left, z_right, exps, rate_weights, scale_counts):
-        t0 = time.perf_counter()
-        p = z_left.shape[0]
-        if p <= self.block_sites:
-            out = kernels.site_log_likelihoods(
-                z_left, z_right, exps, rate_weights, scale_counts
-            )
-        else:
-            site_l = self._site_likelihoods(z_left, z_right, exps, rate_weights)
-            if np.any(site_l <= 0.0):
-                bad = int(np.argmin(site_l))
-                raise FloatingPointError(
-                    f"non-positive site likelihood {site_l[bad]:g} at pattern "
-                    f"{bad}; tree or model is numerically degenerate"
-                )
-            out = np.log(site_l)
-            out -= scale_counts * LOG_SCALE_STEP
-        self._finish(
-            KernelKind.EVALUATE, p, t0, z_left, z_right, exps, scale_counts, out
-        )
-        return out
-
-    def evaluate_edge(
-        self, z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        p = z_left.shape[0]
-        if p <= self.block_sites:
-            lnl = kernels.evaluate_edge(
-                z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-            )
-        else:
-            site_l = self._site_likelihoods(z_left, z_right, exps, rate_weights)
-            if np.any(site_l <= 0.0):
-                bad = int(np.argmin(site_l))
-                raise FloatingPointError(
-                    f"non-positive site likelihood {site_l[bad]:g} at pattern "
-                    f"{bad}; tree or model is numerically degenerate"
-                )
-            lnls = np.log(site_l)
-            lnls -= scale_counts * LOG_SCALE_STEP
-            lnl = float(np.dot(lnls, pattern_weights))
-        self._finish(
-            KernelKind.EVALUATE, p, t0,
-            z_left, z_right, exps, pattern_weights, scale_counts,
-        )
-        return lnl
-
-    # -- derivatives ---------------------------------------------------
-    def derivative_sum(self, z_left, z_right):
-        t0 = time.perf_counter()
-        out = np.empty(np.broadcast_shapes(z_left.shape, z_right.shape))
-        np.multiply(z_left, z_right, out=out)
-        self._finish(
-            KernelKind.DERIVATIVE_SUM, out.shape[0], t0, z_left, z_right, out
-        )
-        return out
-
-    def _site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        """Chunked per-pattern ``(l, l', l'')`` (same association as reference)."""
-        p = sumbuf.shape[0]
-        if p <= self.block_sites:
-            return kernels.derivative_site_terms(
-                sumbuf, eigenvalues, rates, rate_weights, t
-            )
-        g = np.multiply.outer(
-            np.asarray(rates, dtype=np.float64), eigenvalues
-        )  # (c, k)
-        e = np.exp(g * t)
-        wc = rate_weights[:, None]
-        m0 = wc * e
-        m1 = m0 * g
-        m2 = m1 * g
-        l0 = np.empty(p)
-        l1 = np.empty(p)
-        l2 = np.empty(p)
-        for start, stop in self._chunks(p):
-            chunk = sumbuf[start:stop]
-            np.einsum("pck,ck->p", chunk, m0, out=l0[start:stop])
-            np.einsum("pck,ck->p", chunk, m1, out=l1[start:stop])
-            np.einsum("pck,ck->p", chunk, m2, out=l2[start:stop])
-        return l0, l1, l2
-
-    def derivative_site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        """Site phase of ``derivativeCore`` (see the reference backend)."""
-        t0 = time.perf_counter()
-        out = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0, sumbuf, *out
-        )
-        return out
-
-    def derivative_core(
-        self, sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        p = sumbuf.shape[0]
-        l0, l1, l2 = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, p, t0, sumbuf, pattern_weights
-        )
-        return out
-
-    # -- fused edge gradient (up-sweep) --------------------------------
-    def _gradient_site_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        """Chunked fused ``(z_top * z_bottom)`` product + site terms.
-
-        The element-wise CLA product never materialises at full width:
-        each chunk's product lands in scratch and is contracted against
-        the same ``m0/m1/m2`` factor matrices the reference kernel uses,
-        so per-site values are bit-identical to
-        :func:`kernels.edge_gradient_terms`.
-        """
-        p = np.broadcast_shapes(z_top.shape, z_bottom.shape)[0]
-        if p <= self.block_sites:
-            return kernels.edge_gradient_terms(
-                z_top, z_bottom, eigenvalues, rates, rate_weights, t
-            )
-        _, c, k = np.broadcast_shapes(z_top.shape, z_bottom.shape)
-        g = np.multiply.outer(
-            np.asarray(rates, dtype=np.float64), eigenvalues
-        )  # (c, k)
-        e = np.exp(g * t)
-        wc = rate_weights[:, None]
-        m0 = wc * e
-        m1 = m0 * g
-        m2 = m1 * g
-        l0 = np.empty(p)
-        l1 = np.empty(p)
-        l2 = np.empty(p)
-        tmp = self._buf("eg", (min(self.block_sites, p), c, k))
-        direct = np.broadcast_shapes(z_top.shape, z_bottom.shape) == z_top.shape == z_bottom.shape
-        for start, stop in self._chunks(p):
-            n = stop - start
-            v = tmp[:n]
-            if direct:
-                np.multiply(z_top[start:stop], z_bottom[start:stop], out=v)
-            else:  # a tip side broadcasts its length-1 rate axis
-                v[:] = z_top[start:stop] * z_bottom[start:stop]
+    @staticmethod
+    def _contract(chunks, p: int, m0, m1, m2):
+        """Per-pattern ``(l0, l1, l2)`` of chunked site data (reference order)."""
+        l0, l1, l2 = np.empty(p), np.empty(p), np.empty(p)
+        for start, stop, v in chunks:
             np.einsum("pck,ck->p", v, m0, out=l0[start:stop])
             np.einsum("pck,ck->p", v, m1, out=l1[start:stop])
             np.einsum("pck,ck->p", v, m2, out=l2[start:stop])
         return l0, l1, l2
 
-    def edge_gradient(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        l0, l1, l2 = self._gradient_site_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.EDGE_GRADIENT, l0.shape[0], t0,
-            z_top, z_bottom, pattern_weights,
-        )
+    # -- evaluate ------------------------------------------------------
+    def _site_likelihoods(self, z_left, z_right, exps, rate_weights) -> np.ndarray:
+        """Chunked ``L_p = sum_c w_c sum_k zl zr exp`` (linear scale)."""
+        shape = np.broadcast_shapes(z_left.shape, z_right.shape, (1, *exps.shape))
+        if shape[0] <= self.block_sites:
+            return kernels.site_likelihoods(z_left, z_right, exps, rate_weights)
+        site_l = np.empty(shape[0])
+        for start, stop, v in self._products("ev", z_left, z_right, shape):
+            v *= exps[None, :, :]
+            np.einsum("pck,c->p", v, rate_weights, out=site_l[start:stop])
+        return site_l
+
+    # -- derivatives ---------------------------------------------------
+    @staticmethod
+    def _product(z_left, z_right):
+        out = np.empty(np.broadcast_shapes(z_left.shape, z_right.shape))
+        np.multiply(z_left, z_right, out=out)
         return out
 
-    def edge_gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        t0 = time.perf_counter()
-        out = self._gradient_site_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        self._finish(
-            KernelKind.EDGE_GRADIENT, out[0].shape[0], t0, z_top, z_bottom, *out
-        )
-        return out
+    def _factor_terms(self, sumbuf, m0, m1, m2):
+        p = sumbuf.shape[0]
+        if p <= self.block_sites:
+            return kernels.factor_site_terms(sumbuf, m0, m1, m2)
+        chunks = ((a, b, sumbuf[a:b]) for a, b in self._chunks(p))
+        return self._contract(chunks, p, m0, m1, m2)
+
+    def _gradient_terms(self, z_top, z_bottom, m0, m1, m2):
+        """Fused ``(z_top * z_bottom)`` product + site terms, chunk by chunk.
+
+        The element-wise CLA product never materialises at full width,
+        and per-site values are bit-identical to the reference backend's.
+        """
+        shape = np.broadcast_shapes(z_top.shape, z_bottom.shape)
+        if shape[0] <= self.block_sites:
+            return kernels.factor_site_terms(z_top * z_bottom, m0, m1, m2)
+        chunks = self._products("eg", z_top, z_bottom, shape)
+        return self._contract(chunks, shape[0], m0, m1, m2)
 
 
 # ----------------------------------------------------------------------
@@ -1048,10 +884,11 @@ class ShadowBackend(_BackendBase):
 
     Turns any workload — the tier-1 test suite, a full tree search, an
     EPA placement run — into a cross-backend differential test: every
-    CLA, scale-counter vector, log-likelihood and derivative triple is
-    compared between ``primary`` and ``reference`` with ``allclose``
-    tolerances, and a :class:`BackendMismatchError` names the first
-    kernel that diverges.
+    public entry point of :data:`KERNEL_SPECS` is called on both
+    ``primary`` and ``reference``, and the outputs are compared by the
+    row's :class:`KernelResult` (CLAs and site arrays with ``allclose``
+    tolerances, scale counters exactly, scalars with ``isclose``).  A
+    :class:`BackendMismatchError` names the first kernel that diverges.
 
     The shadow's own :class:`KernelProfile` times the *combined*
     dispatch; the wrapped backends keep their individual profiles (so
@@ -1077,7 +914,28 @@ class ShadowBackend(_BackendBase):
         self.atol = atol
         self.checks = 0  # dispatches verified so far
 
-    # -- comparison helpers -------------------------------------------
+    def _run(self, spec: KernelSpec, args: tuple):
+        out = getattr(self.primary, spec.method)(*args)
+        ref = getattr(self.reference, spec.method)(*args)
+        kernel = spec.method
+        if spec.result is KernelResult.CLA:
+            self._check_arrays(kernel, out[0], ref[0], "CLA")
+            if not np.array_equal(out[1], ref[1]):
+                self._fail(kernel, "scale counters differ")
+        elif spec.result is KernelResult.ARRAY:
+            self._check_arrays(kernel, out, ref, "values")
+        elif spec.result is KernelResult.TERMS:
+            for what, a, b in zip(("l0", "l1", "l2"), out, ref):
+                self._check_arrays(kernel, a, b, what)
+        else:
+            for i, (x, y) in enumerate(
+                zip(np.atleast_1d(out), np.atleast_1d(ref))
+            ):
+                if not np.isclose(x, y, rtol=self.rtol, atol=self.atol):
+                    self._fail(kernel, f"value[{i}] = {x!r} vs {y!r}")
+        self.checks += 1
+        return out
+
     def _fail(self, kernel: str, detail: str) -> None:
         raise BackendMismatchError(
             f"backend {self.primary.name!r} disagrees with "
@@ -1090,190 +948,6 @@ class ShadowBackend(_BackendBase):
         if not np.allclose(a, b, rtol=self.rtol, atol=self.atol):
             dev = float(np.max(np.abs(a - b)))
             self._fail(kernel, f"{what} max |delta| = {dev:g}")
-
-    def _check_scalars(self, kernel: str, a, b, what: str) -> None:
-        for i, (x, y) in enumerate(zip(np.atleast_1d(a), np.atleast_1d(b))):
-            if not np.isclose(x, y, rtol=self.rtol, atol=self.atol):
-                self._fail(
-                    kernel, f"{what}[{i}] = {x!r} vs {y!r}"
-                )
-
-    def _check_newview(self, kernel, zp, scp, zr, scr):
-        self._check_arrays(kernel, zp, zr, "CLA")
-        if not np.array_equal(scp, scr):
-            self._fail(kernel, "scale counters differ")
-        self.checks += 1
-
-    # -- dispatch ------------------------------------------------------
-    def newview_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.newview_tip_tip(
-            u_inv, lookup1, codes1, lookup2, codes2
-        )
-        zr, scr = self.reference.newview_tip_tip(
-            u_inv, lookup1, codes1, lookup2, codes2
-        )
-        self._check_newview("newview_tip_tip", zp, scp, zr, scr)
-        self._finish(KernelKind.NEWVIEW_TIP_TIP, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def newview_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.newview_tip_inner(
-            u_inv, lookup1, codes1, a2, z2, scale2
-        )
-        zr, scr = self.reference.newview_tip_inner(
-            u_inv, lookup1, codes1, a2, z2, scale2
-        )
-        self._check_newview("newview_tip_inner", zp, scp, zr, scr)
-        self._finish(KernelKind.NEWVIEW_TIP_INNER, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def newview_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.newview_inner_inner(
-            u_inv, a1, a2, z1, z2, scale1, scale2
-        )
-        zr, scr = self.reference.newview_inner_inner(
-            u_inv, a1, a2, z1, z2, scale1, scale2
-        )
-        self._check_newview("newview_inner_inner", zp, scp, zr, scr)
-        self._finish(KernelKind.NEWVIEW_INNER_INNER, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def site_log_likelihoods(self, z_left, z_right, exps, rate_weights, scale_counts):
-        t0 = time.perf_counter()
-        lp = self.primary.site_log_likelihoods(
-            z_left, z_right, exps, rate_weights, scale_counts
-        )
-        lr = self.reference.site_log_likelihoods(
-            z_left, z_right, exps, rate_weights, scale_counts
-        )
-        self._check_arrays("site_log_likelihoods", lp, lr, "site lnL")
-        self.checks += 1
-        self._finish(KernelKind.EVALUATE, lp.shape[0], t0, lp)
-        return lp
-
-    def evaluate_edge(
-        self, z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        lp = self.primary.evaluate_edge(
-            z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-        )
-        lr = self.reference.evaluate_edge(
-            z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-        )
-        self._check_scalars("evaluate_edge", lp, lr, "lnL")
-        self.checks += 1
-        self._finish(KernelKind.EVALUATE, z_left.shape[0], t0)
-        return lp
-
-    def derivative_sum(self, z_left, z_right):
-        t0 = time.perf_counter()
-        sp = self.primary.derivative_sum(z_left, z_right)
-        sr = self.reference.derivative_sum(z_left, z_right)
-        self._check_arrays("derivative_sum", sp, sr, "sum buffer")
-        self.checks += 1
-        self._finish(KernelKind.DERIVATIVE_SUM, sp.shape[0], t0, sp)
-        return sp
-
-    def derivative_core(
-        self, sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        dp = self.primary.derivative_core(
-            sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        dr = self.reference.derivative_core(
-            sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        self._check_scalars("derivative_core", dp, dr, "derivatives")
-        self.checks += 1
-        self._finish(KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0)
-        return dp
-
-    def derivative_site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        t0 = time.perf_counter()
-        tp = self.primary.derivative_site_terms(
-            sumbuf, eigenvalues, rates, rate_weights, t
-        )
-        tr = self.reference.derivative_site_terms(
-            sumbuf, eigenvalues, rates, rate_weights, t
-        )
-        for name, ap, ar in zip(("l0", "l1", "l2"), tp, tr):
-            self._check_arrays("derivative_site_terms", ap, ar, name)
-        self.checks += 1
-        self._finish(KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0)
-        return tp
-
-    # -- bidirectional-plan kernels ------------------------------------
-    def preorder_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.preorder_tip_tip(
-            u_inv, lookup1, codes1, lookup2, codes2
-        )
-        zr, scr = self.reference.preorder_tip_tip(
-            u_inv, lookup1, codes1, lookup2, codes2
-        )
-        self._check_newview("preorder_tip_tip", zp, scp, zr, scr)
-        self._finish(KernelKind.PREORDER_TIP_TIP, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def preorder_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.preorder_tip_inner(
-            u_inv, lookup1, codes1, a2, z2, scale2
-        )
-        zr, scr = self.reference.preorder_tip_inner(
-            u_inv, lookup1, codes1, a2, z2, scale2
-        )
-        self._check_newview("preorder_tip_inner", zp, scp, zr, scr)
-        self._finish(KernelKind.PREORDER_TIP_INNER, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def preorder_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        zp, scp = self.primary.preorder_inner_inner(
-            u_inv, a1, a2, z1, z2, scale1, scale2
-        )
-        zr, scr = self.reference.preorder_inner_inner(
-            u_inv, a1, a2, z1, z2, scale1, scale2
-        )
-        self._check_newview("preorder_inner_inner", zp, scp, zr, scr)
-        self._finish(KernelKind.PREORDER_INNER_INNER, zp.shape[0], t0, zp, scp)
-        return zp, scp
-
-    def edge_gradient(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        dp = self.primary.edge_gradient(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        dr = self.reference.edge_gradient(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-        )
-        self._check_scalars("edge_gradient", dp, dr, "derivatives")
-        self.checks += 1
-        self._finish(KernelKind.EDGE_GRADIENT, z_top.shape[0], t0)
-        return dp
-
-    def edge_gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        t0 = time.perf_counter()
-        tp = self.primary.edge_gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        tr = self.reference.edge_gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        for name, ap, ar in zip(("l0", "l1", "l2"), tp, tr):
-            self._check_arrays("edge_gradient_terms", ap, ar, name)
-        self.checks += 1
-        self._finish(KernelKind.EDGE_GRADIENT, tp[0].shape[0], t0)
-        return tp
 
 
 # ----------------------------------------------------------------------

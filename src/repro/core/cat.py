@@ -28,7 +28,8 @@ from ..phylo.rates import CatRates, discrete_gamma_rates
 from ..phylo.tree import Tree
 from .backends import KernelBackend
 from .engine import LikelihoodEngine
-from .scaling import LOG_SCALE_STEP, rescale_clv
+from .kernels import derivative_reduce, log_site_likelihoods
+from .scaling import rescale_clv
 from .traversal import KernelKind
 
 __all__ = ["CatLikelihoodEngine", "assign_categories_by_likelihood"]
@@ -181,6 +182,31 @@ class CatLikelihoodEngine(LikelihoodEngine):
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
+    def _side(self, edge_id: int, node: int, partial=None):
+        """``(w, scale)`` of one child across ``edge_id``, per site.
+
+        ``w = A_p(t) z`` for a CLA (``partial`` overrides the node's own
+        down CLA with a pre-order one), or the tip lookup with scale
+        ``None``.
+        """
+        if partial is None and self.tree.is_leaf(node):
+            codes = self._tip_codes[self.tree.name(node)]
+            return self._site_tip_lookup(edge_id, codes), None
+        z, sc = partial if partial is not None else self._clas[node]
+        return np.einsum("pik,pk->pi", self._site_a(edge_id), z[:, 0, :]), sc
+
+    def _combine(self, kind: KernelKind, side1, side2):
+        """CAT ``newview``: ``z = U^-1 (w1 * w2)``, rescaled unless tip-tip."""
+        (w1, sc1), (w2, sc2) = side1, side2
+        sc = np.zeros(self.patterns.n_patterns, dtype=np.int64)
+        for s in (sc1, sc2):
+            if s is not None:
+                sc = sc + s
+        z_out = ((w1 * w2) @ self.eigen.u_inv.T)[:, None, :]
+        if kind not in (KernelKind.NEWVIEW_TIP_TIP, KernelKind.PREORDER_TIP_TIP):
+            rescale_clv(z_out, sc)
+        return z_out, sc
+
     def _run_newview_ops(self, ops, *, batch: bool = True) -> None:  # noqa: ARG002
         """CAT ``newview`` for one wave of independent ops.
 
@@ -188,91 +214,45 @@ class CatLikelihoodEngine(LikelihoodEngine):
         is no stacked dispatch here; the wave executor still drives the
         schedule (and collects wave statistics) unchanged.
         """
-        tree = self.tree
         for op in ops:
-            if op.kind is KernelKind.NEWVIEW_TIP_TIP:
-                w1 = self._site_tip_lookup(
-                    op.edge1, self._tip_codes[tree.name(op.child1)]
-                )
-                w2 = self._site_tip_lookup(
-                    op.edge2, self._tip_codes[tree.name(op.child2)]
-                )
-                sc = np.zeros(self.patterns.n_patterns, dtype=np.int64)
-            elif op.kind is KernelKind.NEWVIEW_TIP_INNER:
-                if tree.is_leaf(op.child1):
-                    tip_child, tip_edge = op.child1, op.edge1
-                    inner_child, inner_edge = op.child2, op.edge2
-                else:
-                    tip_child, tip_edge = op.child2, op.edge2
-                    inner_child, inner_edge = op.child1, op.edge1
-                w1 = self._site_tip_lookup(
-                    tip_edge, self._tip_codes[tree.name(tip_child)]
-                )
-                z2, sc2 = self._clas[inner_child]
-                w2 = np.einsum("pik,pk->pi", self._site_a(inner_edge), z2[:, 0, :])
-                sc = sc2.copy()
-            else:
-                z1, sc1 = self._clas[op.child1]
-                z2, sc2 = self._clas[op.child2]
-                w1 = np.einsum("pik,pk->pi", self._site_a(op.edge1), z1[:, 0, :])
-                w2 = np.einsum("pik,pk->pi", self._site_a(op.edge2), z2[:, 0, :])
-                sc = sc1 + sc2
-            v = w1 * w2
-            z_out = (v @ self.eigen.u_inv.T)[:, None, :]
-            if op.kind is not KernelKind.NEWVIEW_TIP_TIP:
-                rescale_clv(z_out, sc)
-            self._store_op(op, z_out, sc)
+            z, sc = self._combine(
+                op.kind,
+                self._side(op.edge1, op.child1),
+                self._side(op.edge2, op.child2),
+            )
+            self._store_op(op, z, sc)
 
     def _run_preorder_ops(self, ops, *, batch: bool = True) -> None:  # noqa: ARG002
         """CAT pre-order partials (same per-site math as the newview path)."""
-        tree = self.tree
         for op in ops:
-            if op.across_is_partial:
-                z1, sc1 = self._pre[op.up_edge]
-                w1 = np.einsum(
-                    "pik,pk->pi", self._site_a(op.up_edge), z1[:, 0, :]
-                )
-                sc = sc1.copy()
-            elif tree.is_leaf(op.across):
-                w1 = self._site_tip_lookup(
-                    op.up_edge, self._tip_codes[tree.name(op.across)]
-                )
-                sc = np.zeros(self.patterns.n_patterns, dtype=np.int64)
-            else:
-                z1, sc1 = self._clas[op.across]
-                w1 = np.einsum(
-                    "pik,pk->pi", self._site_a(op.up_edge), z1[:, 0, :]
-                )
-                sc = sc1.copy()
-            if tree.is_leaf(op.sibling):
-                w2 = self._site_tip_lookup(
-                    op.sibling_edge, self._tip_codes[tree.name(op.sibling)]
-                )
-            else:
-                z2, sc2 = self._clas[op.sibling]
-                w2 = np.einsum(
-                    "pik,pk->pi", self._site_a(op.sibling_edge), z2[:, 0, :]
-                )
-                sc = sc + sc2
-            v = w1 * w2
-            z_out = (v @ self.eigen.u_inv.T)[:, None, :]
-            if op.kind is not KernelKind.PREORDER_TIP_TIP:
-                rescale_clv(z_out, sc)
-            self._store_preorder_op(op, z_out, sc)
+            partial = self._pre[op.up_edge] if op.across_is_partial else None
+            z, sc = self._combine(
+                op.kind,
+                self._side(op.up_edge, op.across, partial),
+                self._side(op.sibling_edge, op.sibling),
+            )
+            self._store_preorder_op(op, z, sc)
 
-    def _edge_gradient_site_terms(self, z_top, z_bottom, t):
-        """CAT per-pattern gradient terms (per-site rates, no categories)."""
-        sumbuf = (z_top * z_bottom)[:, 0, :]
-        g = self.site_rates[:, None] * self.eigen.eigenvalues[None, :]
+    def _site_terms(self, sumbuf, t):
+        """Per-pattern ``(l, l', l'')`` with per-site rates (no categories).
+
+        Each pattern's terms depend only on that pattern's ``sumbuf`` row
+        and rate, so worker slices reproduce the full-alignment values
+        bit-for-bit — the property the parallel engines' fixed-order
+        master reduction relies on.
+        """
+        g = self.site_rates[:, None] * self.eigen.eigenvalues[None, :]  # (p, s)
         e = np.exp(g * t)
         l0 = (sumbuf * e).sum(axis=1)
         l1 = (sumbuf * g * e).sum(axis=1)
         l2 = (sumbuf * g * g * e).sum(axis=1)
         return l0, l1, l2
 
-    def _edge_gradient(self, z_top, z_bottom, scales, t):  # noqa: ARG002
-        from .kernels import derivative_reduce
+    def _edge_gradient_site_terms(self, z_top, z_bottom, t):
+        """CAT per-pattern gradient terms."""
+        return self._site_terms((z_top * z_bottom)[:, 0, :], t)
 
+    def _edge_gradient(self, z_top, z_bottom, scales, t):  # noqa: ARG002
         return derivative_reduce(
             *self._edge_gradient_site_terms(z_top, z_bottom, t),
             self.patterns.weights,
@@ -288,14 +268,7 @@ class CatLikelihoodEngine(LikelihoodEngine):
         return terms.sum(axis=1), scales
 
     def log_likelihood(self, root_edge: int | None = None) -> float:
-        if root_edge is None:
-            root_edge = self.default_edge()
-        self.ensure_valid(root_edge)
-        site_l, scales = self._site_likelihoods_at(root_edge)
-        if np.any(site_l <= 0.0):
-            raise FloatingPointError("non-positive CAT site likelihood")
-        lnl = np.log(site_l) - scales * LOG_SCALE_STEP
-        self.counters.record(KernelKind.EVALUATE, self.patterns.n_patterns)
+        lnl = self.site_log_likelihoods(root_edge)
         return float(np.dot(lnl, self.patterns.weights))
 
     def site_log_likelihoods(self, root_edge: int | None = None) -> np.ndarray:
@@ -304,7 +277,7 @@ class CatLikelihoodEngine(LikelihoodEngine):
         self.ensure_valid(root_edge)
         site_l, scales = self._site_likelihoods_at(root_edge)
         self.counters.record(KernelKind.EVALUATE, self.patterns.n_patterns)
-        return np.log(site_l) - scales * LOG_SCALE_STEP
+        return log_site_likelihoods(site_l, scales)
 
     def edge_sum_buffer(self, root_edge: int) -> np.ndarray:
         self.ensure_valid(root_edge)
@@ -316,24 +289,12 @@ class CatLikelihoodEngine(LikelihoodEngine):
     def derivative_site_terms(
         self, sumbuf: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern ``(l, l', l'')`` with per-site CAT rates.
-
-        Each pattern's terms depend only on that pattern's ``sumbuf`` row
-        and rate, so worker slices reproduce the full-alignment values
-        bit-for-bit — the property the parallel engines' fixed-order
-        master reduction relies on.
-        """
-        g = self.site_rates[:, None] * self.eigen.eigenvalues[None, :]  # (p, s)
-        e = np.exp(g * t)
-        l0 = (sumbuf * e).sum(axis=1)
-        l1 = (sumbuf * g * e).sum(axis=1)
-        l2 = (sumbuf * g * g * e).sum(axis=1)
+        """Per-pattern ``(l, l', l'')`` with per-site CAT rates."""
+        out = self._site_terms(sumbuf, t)
         self.counters.record(KernelKind.DERIVATIVE_CORE, self.patterns.n_patterns)
-        return l0, l1, l2
+        return out
 
     def branch_derivatives(self, sumbuf: np.ndarray, t: float) -> tuple[float, float, float]:
-        from .kernels import derivative_reduce
-
         return derivative_reduce(
             *self.derivative_site_terms(sumbuf, t), self.patterns.weights
         )

@@ -1,12 +1,14 @@
 """``compiled`` kernel backend: generated C behind the stable kernel API.
 
-:class:`CompiledBackend` implements the full :class:`~repro.core.
-backends.KernelBackend` protocol (plus the optional ``newview_batch``
-wave hook and the parallel-engine ``*_terms`` site phases) by
-dispatching into shared objects built on demand by
+:class:`CompiledBackend` supplies the site-phase primitives of the
+table-driven kernel layer (:class:`~repro.core.backends._BackendBase`)
+— the three CLA updates, linear site likelihoods, the element-wise
+product, the derivative and fused-gradient site terms and the tip-tip
+pair table — by calling into shared objects built on demand by
 :mod:`repro.core.ckernels.build` from :mod:`~repro.core.ckernels.
-codegen` source — one object per ``(n_states, n_rates)`` pair, resolved
-from operand shapes at call time.
+codegen` source, one object per ``(n_states, n_rates)`` pair, resolved
+from operand shapes at call time.  The base class turns those into the
+public entry points and the stacked ``newview_batch``.
 
 Division of labour per kernel:
 
@@ -14,9 +16,9 @@ Division of labour per kernel:
   and derivative site phases, element-wise products) runs in C;
 * transcendental *tables* (``exp`` factors) and final reductions
   (``np.log``/``np.dot``/:func:`repro.core.kernels.derivative_reduce`)
-  stay in NumPy, so reduction order — and hence every scalar the
-  engines compare — is produced by exactly the same code path as the
-  reference backend.
+  are the base class's shared phases in NumPy, so reduction order — and
+  hence every scalar the engines compare — is produced by exactly the
+  same code path as the reference backend.
 
 ctypes releases the GIL for the duration of each call, so the
 ``threads`` worker substrate gets genuine parallel speedup from this
@@ -24,24 +26,20 @@ backend (NumPy kernels already release it inside ufuncs; here the whole
 kernel body runs GIL-free).
 
 When no C toolchain is available (or a compile fails), the instance
-permanently degrades to a private :class:`~repro.core.backends.
-BlockedBackend` that shares this backend's profile, emits a one-time
-``RuntimeWarning``, and records the reason for ``repro backends``.
+permanently degrades: a private :class:`~repro.core.backends.
+BlockedBackend` supplies the primitives from then on, still under this
+backend's own dispatch, profile and spans.  It emits a one-time
+``RuntimeWarning`` and records the reason for ``repro backends``.
 """
 
 from __future__ import annotations
 
-import functools
-import time
 import warnings
 
 import numpy as np
 
 from ..backends import BlockedBackend, _BackendBase
-from ..traversal import KernelKind
-from .. import kernels
-from ..scaling import LOG_SCALE_STEP
-from .build import CompilerUnavailable, ProbeStatus, load_kernels, probe_status
+from .build import CompilerUnavailable, load_kernels
 
 __all__ = ["CompiledBackend"]
 
@@ -66,20 +64,17 @@ def _estrides(a: np.ndarray) -> tuple[int, ...]:
     return tuple(s // a.itemsize for s in a.strides)
 
 
-def _guarded(method):
-    """Route through the fallback delegate; degrade on compile failure."""
+def _ref(a: np.ndarray) -> tuple[int, ...]:
+    """``(address, element strides...)``: a strided operand as C takes it.
 
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        if self._delegate is not None:
-            return getattr(self._delegate, method.__name__)(*args, **kwargs)
-        try:
-            return method(self, *args, **kwargs)
-        except CompilerUnavailable as exc:
-            self._activate_fallback(str(exc))
-            return getattr(self._delegate, method.__name__)(*args, **kwargs)
+    The caller keeps ``a`` alive for the duration of the C call.
+    """
+    return (a.ctypes.data, *_estrides(a))
 
-    return wrapper
+
+def _bcast(shape: tuple[int, ...], *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each operand as a float64 view broadcast to ``shape``."""
+    return [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in arrays]
 
 
 class CompiledBackend(_BackendBase):
@@ -109,9 +104,7 @@ class CompiledBackend(_BackendBase):
     def _activate_fallback(self, reason: str) -> None:
         global _warned_fallback
         self.fallback_reason = reason
-        delegate = BlockedBackend(pair_table_max=self.pair_table_max)
-        delegate.profile = self.profile  # one shared accounting stream
-        self._delegate = delegate
+        self._delegate = BlockedBackend(pair_table_max=self.pair_table_max)
         if not _warned_fallback:
             _warned_fallback = True
             warnings.warn(
@@ -121,6 +114,15 @@ class CompiledBackend(_BackendBase):
                 stacklevel=3,
             )
 
+    def _call(self, phase: str, args: tuple):
+        """Run one phase in C; on a compile failure, degrade for good."""
+        if self._delegate is None:
+            try:
+                return getattr(self, phase)(*args)
+            except CompilerUnavailable as exc:
+                self._activate_fallback(str(exc))
+        return getattr(self._delegate, phase)(*args)
+
     def _lib(self, states: int, rates: int):
         key = (states, rates)
         lib = self._libs.get(key)
@@ -129,59 +131,46 @@ class CompiledBackend(_BackendBase):
             self._libs[key] = lib
         return lib
 
-    @staticmethod
-    def probe() -> ProbeStatus:
-        """Toolchain availability report (for ``repro backends``)."""
-        return probe_status()
-
     # -- newview -------------------------------------------------------
-    def _tip_tip_impl(self, u_inv, lookup1, codes1, lookup2, codes2):
+    def _tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
         lookup1, lookup2 = _f64(lookup1), _f64(lookup2)
         codes1, codes2 = _u32(codes1), _u32(codes2)
         c, m1, k = lookup1.shape
-        m2 = lookup2.shape[1]
-        lib = self._lib(k, c)
         p = codes1.shape[0]
         z = np.empty((p, c, k))
         u_inv = np.asarray(u_inv, dtype=np.float64)
-        s0, s1 = _estrides(u_inv)
-        lib.nv_tip_tip(
-            p, u_inv.ctypes.data, s0, s1,
+        self._lib(k, c).nv_tip_tip(
+            p, *_ref(u_inv),
             lookup1.ctypes.data, m1, codes1.ctypes.data,
-            lookup2.ctypes.data, m2, codes2.ctypes.data,
+            lookup2.ctypes.data, lookup2.shape[1], codes2.ctypes.data,
             z.ctypes.data,
         )
         return z, np.zeros(p, dtype=np.int64)
 
-    def _tip_inner_impl(self, u_inv, lookup1, codes1, a2, z2, scale2):
+    def _tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
         lookup1, a2, z2 = _f64(lookup1), _f64(a2), _f64(z2)
         codes1 = _u32(codes1)
         p, c, k = z2.shape
-        m1 = lookup1.shape[1]
-        lib = self._lib(k, c)
         z = np.empty((p, c, k))
         sc = np.empty(p, dtype=np.int64)
         u_inv = np.asarray(u_inv, dtype=np.float64)
-        s0, s1 = _estrides(u_inv)
-        lib.nv_tip_inner(
-            p, u_inv.ctypes.data, s0, s1,
-            lookup1.ctypes.data, m1, codes1.ctypes.data,
+        self._lib(k, c).nv_tip_inner(
+            p, *_ref(u_inv),
+            lookup1.ctypes.data, lookup1.shape[1], codes1.ctypes.data,
             a2.ctypes.data, z2.ctypes.data,
             _i64(scale2).ctypes.data,
             z.ctypes.data, sc.ctypes.data,
         )
         return z, sc
 
-    def _inner_inner_impl(self, u_inv, a1, a2, z1, z2, scale1, scale2):
+    def _inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
         a1, a2, z1, z2 = _f64(a1), _f64(a2), _f64(z1), _f64(z2)
         p, c, k = z1.shape
-        lib = self._lib(k, c)
         z = np.empty((p, c, k))
         sc = np.empty(p, dtype=np.int64)
         u_inv = np.asarray(u_inv, dtype=np.float64)
-        s0, s1 = _estrides(u_inv)
-        lib.nv_inner_inner(
-            p, u_inv.ctypes.data, s0, s1,
+        self._lib(k, c).nv_inner_inner(
+            p, *_ref(u_inv),
             a1.ctypes.data, a2.ctypes.data,
             z1.ctypes.data, z2.ctypes.data,
             _i64(scale1).ctypes.data, _i64(scale2).ctypes.data,
@@ -189,303 +178,68 @@ class CompiledBackend(_BackendBase):
         )
         return z, sc
 
-    @_guarded
-    def newview_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
+    def _pair_table(self, u_inv, lut1, lut2):
+        """All-pairs tip-tip table, by the per-op kernel's C arithmetic.
 
-    @_guarded
-    def newview_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def newview_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    # -- pre-order partials (identical math, different KernelKind) -----
-    @_guarded
-    def preorder_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.PREORDER_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def preorder_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.PREORDER_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def preorder_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.PREORDER_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    # -- stacked wave dispatch ----------------------------------------
-    @_guarded
-    def newview_batch(self, calls) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Wave dispatch with a C-built tip-tip pair table.
-
-        Mirrors :meth:`BlockedBackend.newview_batch`: tip-tip ops that
-        share lookup operands gather from one all-pairs table.  The
-        table is built by the same C arithmetic as the per-op tip-tip
-        kernel, so gathered CLAs are bit-identical to per-op dispatch.
+        Gathered CLAs are therefore bit-identical to per-op dispatch.
         """
-        results: list = [None] * len(calls)
-        groups: dict[tuple, list[int]] = {}
-        for i, call in enumerate(calls):
-            case = call.kind.value.rsplit("_", 2)
-            if case[-2:] == ["tip", "tip"]:
-                u_inv, lut1, codes1, lut2, codes2 = call.args
-                m1, m2 = lut1.shape[1], lut2.shape[1]
-                if m1 * m2 <= self.pair_table_max and codes1.shape[0] >= m1 * m2:
-                    groups.setdefault(
-                        (call.kind, id(u_inv), id(lut1), id(lut2)), []
-                    ).append(i)
-                else:
-                    results[i] = (
-                        self.newview_tip_tip(*call.args)
-                        if call.kind is KernelKind.NEWVIEW_TIP_TIP
-                        else self.preorder_tip_tip(*call.args)
-                    )
-            elif case[-1] == "inner" and case[-2] == "tip":
-                results[i] = (
-                    self.newview_tip_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_TIP_INNER
-                    else self.preorder_tip_inner(*call.args)
-                )
-            else:
-                results[i] = (
-                    self.newview_inner_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_INNER_INNER
-                    else self.preorder_inner_inner(*call.args)
-                )
-        for (kind, *_ids), idxs in groups.items():
-            u_inv, lut1, _, lut2, _ = calls[idxs[0]].args
-            t_table0 = time.perf_counter()
-            lut1c, lut2c = _f64(lut1), _f64(lut2)
-            c, m1, k = lut1c.shape
-            m2 = lut2c.shape[1]
-            lib = self._lib(k, c)
-            table = np.empty((m1, m2, c, k))
-            ui = np.asarray(u_inv, dtype=np.float64)
-            s0, s1 = _estrides(ui)
-            lib.tip_pair_table(
-                ui.ctypes.data, s0, s1,
-                lut1c.ctypes.data, m1, lut2c.ctypes.data, m2,
-                table.ctypes.data,
-            )
-            table_s = time.perf_counter() - t_table0
-            for j, i in enumerate(idxs):
-                codes1, codes2 = calls[i].args[2], calls[i].args[4]
-                t0 = time.perf_counter()
-                z = table[codes1, codes2]
-                sc = np.zeros(codes1.shape[0], dtype=np.int64)
-                elapsed = time.perf_counter() - t0
-                if j == 0:  # charge the shared table build to the head
-                    elapsed += table_s
-                nbytes = codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes
-                self.profile.record_timed(
-                    kind, codes1.shape[0], elapsed, nbytes
-                )
-                results[i] = (z, sc)
-        return results
+        lut1, lut2 = _f64(lut1), _f64(lut2)
+        c, m1, k = lut1.shape
+        m2 = lut2.shape[1]
+        table = np.empty((m1, m2, c, k))
+        u_inv = np.asarray(u_inv, dtype=np.float64)
+        self._lib(k, c).tip_pair_table(
+            *_ref(u_inv), lut1.ctypes.data, m1, lut2.ctypes.data, m2,
+            table.ctypes.data,
+        )
+        return table
 
     # -- evaluate ------------------------------------------------------
-    def _site_linear(self, z_left, z_right, exps, rate_weights):
+    def _site_likelihoods(self, z_left, z_right, exps, rate_weights):
         """Linear-scale per-site likelihoods via the C site loop."""
-        exps = _f64(exps)
-        rate_weights = _f64(rate_weights)
+        exps, rate_weights = _f64(exps), _f64(rate_weights)
         c, k = exps.shape
-        p = np.broadcast_shapes(z_left.shape, z_right.shape, (1, c, k))[0]
-        zl = np.broadcast_to(np.asarray(z_left, dtype=np.float64), (p, c, k))
-        zr = np.broadcast_to(np.asarray(z_right, dtype=np.float64), (p, c, k))
-        lib = self._lib(k, c)
-        out = np.empty(p)
-        lib.evaluate_site(
-            p, zl.ctypes.data, *_estrides(zl),
-            zr.ctypes.data, *_estrides(zr),
+        shape = np.broadcast_shapes(z_left.shape, z_right.shape, (1, c, k))
+        zl, zr = _bcast(shape, z_left, z_right)
+        out = np.empty(shape[0])
+        self._lib(k, c).evaluate_site(
+            shape[0], *_ref(zl), *_ref(zr),
             exps.ctypes.data, rate_weights.ctypes.data, out.ctypes.data,
         )
         return out
 
-    @staticmethod
-    def _check_positive(site_l: np.ndarray) -> None:
-        if np.any(site_l <= 0.0):
-            bad = int(np.argmin(site_l))
-            raise FloatingPointError(
-                f"non-positive site likelihood {site_l[bad]:g} at pattern "
-                f"{bad}; tree or model is numerically degenerate"
-            )
-
-    @_guarded
-    def site_log_likelihoods(
-        self, z_left, z_right, exps, rate_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        site_l = self._site_linear(z_left, z_right, exps, rate_weights)
-        self._check_positive(site_l)
-        out = np.log(site_l)
-        out -= scale_counts * LOG_SCALE_STEP
-        self._finish(
-            KernelKind.EVALUATE, out.shape[0], t0,
-            z_left, z_right, exps, scale_counts, out,
-        )
-        return out
-
-    @_guarded
-    def evaluate_edge(
-        self, z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        site_l = self._site_linear(z_left, z_right, exps, rate_weights)
-        self._check_positive(site_l)
-        lnls = np.log(site_l)
-        lnls -= scale_counts * LOG_SCALE_STEP
-        lnl = float(np.dot(lnls, pattern_weights))
-        self._finish(
-            KernelKind.EVALUATE, site_l.shape[0], t0,
-            z_left, z_right, exps, pattern_weights, scale_counts,
-        )
-        return lnl
-
     # -- derivatives ---------------------------------------------------
-    @_guarded
-    def derivative_sum(self, z_left, z_right):
-        t0 = time.perf_counter()
-        p, c, k = np.broadcast_shapes(z_left.shape, z_right.shape)
-        zl = np.broadcast_to(np.asarray(z_left, dtype=np.float64), (p, c, k))
-        zr = np.broadcast_to(np.asarray(z_right, dtype=np.float64), (p, c, k))
-        lib = self._lib(k, c)
-        out = np.empty((p, c, k))
-        lib.ew_product(
-            p, zl.ctypes.data, *_estrides(zl),
-            zr.ctypes.data, *_estrides(zr), out.ctypes.data,
-        )
-        self._finish(
-            KernelKind.DERIVATIVE_SUM, p, t0, z_left, z_right, out
+    def _product(self, z_left, z_right):
+        shape = np.broadcast_shapes(z_left.shape, z_right.shape)
+        zl, zr = _bcast(shape, z_left, z_right)
+        out = np.empty(shape)
+        self._lib(shape[2], shape[1]).ew_product(
+            shape[0], *_ref(zl), *_ref(zr), out.ctypes.data
         )
         return out
 
-    @staticmethod
-    def _factor_tables(eigenvalues, rates, rate_weights, t):
-        """The reference kernels' ``m0/m1/m2`` weight tables (NumPy exp)."""
-        g = np.multiply.outer(np.asarray(rates, dtype=np.float64), eigenvalues)
-        e = np.exp(g * t)
-        m0 = rate_weights[:, None] * e
-        m1 = m0 * g
-        m2 = m1 * g
-        return _f64(m0), _f64(m1), _f64(m2)
-
-    def _site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        m0, m1, m2 = self._factor_tables(eigenvalues, rates, rate_weights, t)
+    def _factor_terms(self, sumbuf, m0, m1, m2):
+        m0, m1, m2 = _f64(m0), _f64(m1), _f64(m2)
         c, k = m0.shape
-        p = np.broadcast_shapes(sumbuf.shape, (1, c, k))[0]
-        sb = np.broadcast_to(np.asarray(sumbuf, dtype=np.float64), (p, c, k))
-        lib = self._lib(k, c)
-        l0, l1, l2 = np.empty(p), np.empty(p), np.empty(p)
-        lib.deriv_site_terms(
-            p, sb.ctypes.data, *_estrides(sb),
+        shape = np.broadcast_shapes(sumbuf.shape, (1, c, k))
+        (sb,) = _bcast(shape, sumbuf)
+        l0, l1, l2 = np.empty(shape[0]), np.empty(shape[0]), np.empty(shape[0])
+        self._lib(k, c).deriv_site_terms(
+            shape[0], *_ref(sb),
             m0.ctypes.data, m1.ctypes.data, m2.ctypes.data,
             l0.ctypes.data, l1.ctypes.data, l2.ctypes.data,
         )
         return l0, l1, l2
 
-    @_guarded
-    def derivative_site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        t0 = time.perf_counter()
-        out = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0, sumbuf, *out
-        )
-        return out
-
-    @_guarded
-    def derivative_core(
-        self, sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        l0, l1, l2 = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0,
-            sumbuf, pattern_weights,
-        )
-        return out
-
-    # -- fused edge gradient (up-sweep) --------------------------------
-    def _gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        m0, m1, m2 = self._factor_tables(eigenvalues, rates, rate_weights, t)
+    def _gradient_terms(self, z_top, z_bottom, m0, m1, m2):
+        m0, m1, m2 = _f64(m0), _f64(m1), _f64(m2)
         c, k = m0.shape
-        p = np.broadcast_shapes(z_top.shape, z_bottom.shape, (1, c, k))[0]
-        zt = np.broadcast_to(np.asarray(z_top, dtype=np.float64), (p, c, k))
-        zb = np.broadcast_to(np.asarray(z_bottom, dtype=np.float64), (p, c, k))
-        lib = self._lib(k, c)
-        l0, l1, l2 = np.empty(p), np.empty(p), np.empty(p)
-        lib.grad_site_terms(
-            p, zt.ctypes.data, *_estrides(zt),
-            zb.ctypes.data, *_estrides(zb),
+        shape = np.broadcast_shapes(z_top.shape, z_bottom.shape, (1, c, k))
+        zt, zb = _bcast(shape, z_top, z_bottom)
+        l0, l1, l2 = np.empty(shape[0]), np.empty(shape[0]), np.empty(shape[0])
+        self._lib(k, c).grad_site_terms(
+            shape[0], *_ref(zt), *_ref(zb),
             m0.ctypes.data, m1.ctypes.data, m2.ctypes.data,
             l0.ctypes.data, l1.ctypes.data, l2.ctypes.data,
         )
         return l0, l1, l2
-
-    @_guarded
-    def edge_gradient(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        l0, l1, l2 = self._gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.EDGE_GRADIENT, l0.shape[0], t0,
-            z_top, z_bottom, pattern_weights,
-        )
-        return out
-
-    @_guarded
-    def edge_gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        t0 = time.perf_counter()
-        out = self._gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        self._finish(
-            KernelKind.EDGE_GRADIENT, out[0].shape[0], t0,
-            z_top, z_bottom, *out,
-        )
-        return out

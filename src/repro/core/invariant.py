@@ -29,6 +29,7 @@ from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
+from . import kernels
 from .backends import KernelBackend
 from .engine import LikelihoodEngine
 from .scaling import LOG_SCALE_STEP
@@ -123,24 +124,17 @@ class InvariantSitesEngine(LikelihoodEngine):
 
     def branch_derivatives(self, sumbuf_scales, t: float) -> tuple[float, float, float]:
         sumbuf, scales = sumbuf_scales
-        g = np.multiply.outer(self.rate_values, self.eigen.eigenvalues)
-        e = np.exp(g * t)
-        wc = self.rate_weights[:, None]
-        l0 = np.einsum("pck,ck->p", sumbuf, wc * e)
-        l1 = np.einsum("pck,ck->p", sumbuf, wc * g * e)
-        l2 = np.einsum("pck,ck->p", sumbuf, wc * g * g * e)
-        if np.any(l0 <= 0.0):
-            raise FloatingPointError("non-positive site likelihood in +I model")
+        l0, l1, l2 = kernels.derivative_site_terms(
+            sumbuf, self.eigen.eigenvalues, self.rate_values,
+            self.rate_weights, t,
+        )
         self.counters.record(KernelKind.DERIVATIVE_CORE, self.patterns.n_patterns)
         w = self.patterns.weights
         p = self.p_inv
         if p == 0.0:
-            r1 = l1 / l0
-            return (
-                float(np.dot(np.log(l0), w)),
-                float(np.dot(r1, w)),
-                float(np.dot(l2 / l0 - r1 * r1, w)),
-            )
+            return kernels.derivative_reduce(l0, l1, l2, w)
+        if np.any(l0 <= 0.0):
+            raise FloatingPointError("non-positive site likelihood in +I model")
         # Gamma fraction G/L per site, scale-count safe (log space):
         # log G = log(1-p) + log(l0_computed) - scales * LOG_SCALE_STEP
         with np.errstate(divide="ignore"):

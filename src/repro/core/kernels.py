@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..phylo.models import EigenSystem
-from .scaling import rescale_clv
+from .scaling import LOG_SCALE_STEP, rescale_clv
 
 __all__ = [
     "branch_exponentials",
@@ -56,11 +56,15 @@ __all__ = [
     "newview_tip_tip",
     "evaluate_edge",
     "derivative_sum",
+    "derivative_factors",
+    "factor_site_terms",
     "derivative_site_terms",
     "derivative_reduce",
     "derivative_core",
     "edge_gradient_terms",
     "edge_gradient",
+    "site_likelihoods",
+    "log_site_likelihoods",
     "site_log_likelihoods",
 ]
 
@@ -174,6 +178,41 @@ def newview_tip_tip(
     return z_out, scale_out
 
 
+def site_likelihoods(
+    z_left: np.ndarray,
+    z_right: np.ndarray,
+    exps: np.ndarray,
+    rate_weights: np.ndarray,
+) -> np.ndarray:
+    """Linear-scale per-pattern likelihoods at a virtual root.
+
+    ``exps`` is the :func:`branch_exponentials` table of the root branch.
+    The identity ``U^T diag(pi) U = I`` reduces the root computation to
+
+        L_p = sum_c w_c sum_k z_l[p,c,k] z_r[p,c,k] exps[c,k]
+    """
+    terms = z_left * z_right * exps[None, :, :]
+    return np.einsum("pck,c->p", terms, rate_weights)
+
+
+def log_site_likelihoods(
+    site_l: np.ndarray, scale_counts: np.ndarray
+) -> np.ndarray:
+    """Log of linear site likelihoods, corrected by the scaling counters.
+
+    ``scale_counts`` is the summed scaling counter of both root sides.
+    A non-positive likelihood means the tree or model has degenerated
+    numerically, and is reported instead of producing ``-inf``/``nan``.
+    """
+    if np.any(site_l <= 0.0):
+        bad = int(np.argmin(site_l))
+        raise FloatingPointError(
+            f"non-positive site likelihood {site_l[bad]:g} at pattern {bad}; "
+            "tree or model is numerically degenerate"
+        )
+    return np.log(site_l) - scale_counts * LOG_SCALE_STEP
+
+
 def site_log_likelihoods(
     z_left: np.ndarray,
     z_right: np.ndarray,
@@ -181,25 +220,10 @@ def site_log_likelihoods(
     rate_weights: np.ndarray,
     scale_counts: np.ndarray,
 ) -> np.ndarray:
-    """Per-pattern log-likelihoods at a virtual root.
-
-    ``exps`` is the :func:`branch_exponentials` table of the root branch;
-    ``scale_counts`` is the summed scaling counter of both sides.  The
-    identity ``U^T diag(pi) U = I`` reduces the root computation to
-
-        L_p = sum_c w_c sum_k z_l[p,c,k] z_r[p,c,k] exps[c,k]
-    """
-    terms = z_left * z_right * exps[None, :, :]
-    site_l = np.einsum("pck,c->p", terms, rate_weights)
-    if np.any(site_l <= 0.0):
-        bad = int(np.argmin(site_l))
-        raise FloatingPointError(
-            f"non-positive site likelihood {site_l[bad]:g} at pattern {bad}; "
-            "tree or model is numerically degenerate"
-        )
-    from .scaling import LOG_SCALE_STEP
-
-    return np.log(site_l) - scale_counts * LOG_SCALE_STEP
+    """Per-pattern log-likelihoods at a virtual root."""
+    return log_site_likelihoods(
+        site_likelihoods(z_left, z_right, exps, rate_weights), scale_counts
+    )
 
 
 def evaluate_edge(
@@ -278,17 +302,36 @@ def derivative_site_terms(
     at the master over the gathered full-length arrays — in a fixed,
     worker-count-independent order, which keeps the three returned scalars
     bit-identical to the sequential code path.
+    """
+    return factor_site_terms(
+        sumbuf, *derivative_factors(eigenvalues, rates, rate_weights, t)
+    )
 
-    The weight tables are associated as ``m0 = w*e``, ``m1 = m0*g``,
-    ``m2 = m1*g`` — the same association the blocked backend's chunked
-    path uses — so per-pattern values are bitwise identical whichever
-    backend or slice width computed them.
+
+def derivative_factors(
+    eigenvalues: np.ndarray,
+    rates: np.ndarray,
+    rate_weights: np.ndarray,
+    t: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(c, k)`` weight tables ``m0 = w*e``, ``m1 = m0*g``, ``m2 = m1*g``.
+
+    ``g_ck = lam_k r_c`` and ``e = exp(g t)``.  Every backend contracts
+    its site data against these same tables, so per-pattern terms are
+    bitwise identical whichever backend or slice width computed them.
     """
     g = np.multiply.outer(np.asarray(rates, dtype=np.float64), eigenvalues)
     e = np.exp(g * t)
     m0 = rate_weights[:, None] * e
     m1 = m0 * g
     m2 = m1 * g
+    return m0, m1, m2
+
+
+def factor_site_terms(
+    sumbuf: np.ndarray, m0: np.ndarray, m1: np.ndarray, m2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pattern ``(l, l', l'')``: ``sumbuf`` contracted with each table."""
     l0 = np.einsum("pck,ck->p", sumbuf, m0)
     l1 = np.einsum("pck,ck->p", sumbuf, m1)
     l2 = np.einsum("pck,ck->p", sumbuf, m2)

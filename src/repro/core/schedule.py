@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
+from .backends import CLA_SPECS
 from .traversal import ExecutionPlan, KernelKind, NewviewOp, Wave
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,17 +54,12 @@ __all__ = [
     "execute_lockstep",
 ]
 
-#: Backend method name per CLA-producing kernel kind.  Post-order
-#: ``newview`` and pre-order partial kinds share argument signatures
-#: (the arithmetic is identical; only the counted kind differs), so one
-#: table serves both sweep directions.
+#: Backend method name per CLA-producing kernel kind, read from the
+#: kernel table.  Post-order ``newview`` and pre-order partial kinds
+#: share argument signatures (the arithmetic is identical; only the
+#: counted kind differs), so one table serves both sweep directions.
 NEWVIEW_METHODS: dict[KernelKind, str] = {
-    KernelKind.NEWVIEW_TIP_TIP: "newview_tip_tip",
-    KernelKind.NEWVIEW_TIP_INNER: "newview_tip_inner",
-    KernelKind.NEWVIEW_INNER_INNER: "newview_inner_inner",
-    KernelKind.PREORDER_TIP_TIP: "preorder_tip_tip",
-    KernelKind.PREORDER_TIP_INNER: "preorder_tip_inner",
-    KernelKind.PREORDER_INNER_INNER: "preorder_inner_inner",
+    kind: spec.method for kind, spec in CLA_SPECS.items()
 }
 
 
@@ -267,12 +263,12 @@ class PlanExecutor:
         """Run one wave and record its :class:`WaveProfile`."""
         if not wave.ops:
             return
-        profile = getattr(self.engine.backend, "profile", None)
-        b0 = sum(profile.bytes_moved.values()) if profile is not None else 0
+        moved = self.engine.backend.profile.bytes_moved
+        b0 = sum(moved.values())
         t0 = time.perf_counter()
         self.engine._run_ops(wave.ops, batch=self.batch)
         elapsed = time.perf_counter() - t0
-        b1 = sum(profile.bytes_moved.values()) if profile is not None else 0
+        b1 = sum(moved.values())
         mix = wave.kernel_mix()
         batched = (
             self.batch

@@ -33,6 +33,7 @@ __all__ = [
     "MERGED_KERNEL_KEYS",
     "PAPER_KERNEL_KEYS",
     "merged_kernel_key",
+    "merged_by_key",
     "NewviewOp",
     "PreorderOp",
     "EdgeGradientOp",
@@ -110,6 +111,19 @@ def merged_kernel_key(kind: KernelKind) -> str:
     if kind.preorder_like:
         return "preorder"
     return kind.value
+
+
+def merged_by_key(values: dict, zero=0) -> dict:
+    """Per-kind totals summed to the merged kernel names.
+
+    Seeded with the paper's four families (at ``zero``); "preorder" and
+    "edge_gradient" appear only once observed.
+    """
+    out = {key: zero for key in PAPER_KERNEL_KEYS}
+    for kind, v in values.items():
+        key = merged_kernel_key(kind)
+        out[key] = out.get(key, zero) + v
+    return out
 
 
 @dataclass(frozen=True)
@@ -391,19 +405,11 @@ class KernelCounters:
         Seeded with the paper's four families; "preorder" and
         "edge_gradient" appear only once a gradient sweep has run.
         """
-        out = {key: 0 for key in PAPER_KERNEL_KEYS}
-        for kind, n in self.calls.items():
-            key = merged_kernel_key(kind)
-            out[key] = out.get(key, 0) + n
-        return out
+        return merged_by_key(self.calls)
 
     def merged_site_units(self) -> dict[str, int]:
         """Site units aggregated like :meth:`merged`."""
-        out = {key: 0 for key in PAPER_KERNEL_KEYS}
-        for kind, n in self.site_units.items():
-            key = merged_kernel_key(kind)
-            out[key] = out.get(key, 0) + n
-        return out
+        return merged_by_key(self.site_units)
 
     def copy(self) -> "KernelCounters":
         c = KernelCounters()

@@ -50,9 +50,6 @@ class Device:
             memory_doubles=memory_doubles,
         )
 
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / (self.spec.clock_ghz * 1e9)
-
 
 def xeon_phi_device() -> Device:
     """Convenience: a single Xeon Phi 5110P card."""

@@ -162,10 +162,6 @@ class TraceSummary:
     #: ``track;outer;inner`` collapsed stacks -> self-time microseconds
     folded: dict[str, float] = field(default_factory=dict)
 
-    def hottest_paths(self, n: int = 10) -> list[tuple[str, float]]:
-        """The ``n`` heaviest collapsed-stack paths by self time."""
-        return sorted(self.folded.items(), key=lambda kv: -kv[1])[:n]
-
     def top_by_self_time(self, n: int = 15) -> list[SpanAggregate]:
         """Span aggregates ranked by total self time, descending."""
         return sorted(self.spans.values(), key=lambda a: -a.self_us)[:n]

@@ -82,9 +82,6 @@ class RunPrediction:
             self.compute_s + self.sync_s + self.serial_s + self.ramp_s + self.comm_s
         )
 
-    def speedup_over(self, other: "RunPrediction") -> float:
-        return other.total_s / self.total_s
-
 
 @dataclass(frozen=True)
 class ExaMLModel:

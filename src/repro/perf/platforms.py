@@ -60,10 +60,6 @@ class PlatformSpec:
             / self.clock_ghz
         )
 
-    @property
-    def hardware_threads(self) -> int:
-        return self.cores * self.threads_per_core
-
     def energy_wh(self, runtime_s: float) -> float:
         """The paper's energy estimate: ``E[Wh] = MaxTDP * t / 3600``."""
         return self.max_tdp_w * runtime_s / 3600.0
