@@ -7,8 +7,9 @@ Reproduces the paper's application-level evaluation from one script:
    platform models,
 2. derives Figure 4 (2-MIC vs 1-MIC) and Figure 5 (energy),
 3. demonstrates the *functional* side: ExaML's distributed likelihood on
-   simulated MPI ranks agrees with the serial engine to machine
-   precision while the modelled AllReduce time is accounted.
+   simulated MPI ranks is bit-identical to the serial engine (the
+   printed difference is 0) while the modelled AllReduce time is
+   accounted.
 
 Run:  python examples/multi_card_scaling.py
 """

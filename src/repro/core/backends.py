@@ -300,8 +300,8 @@ class KernelBackend(Protocol):
     Signatures mirror the reference kernels in :mod:`repro.core.kernels`;
     ``profile`` accumulates per-kernel measurements across the backend's
     lifetime (a backend instance may be shared by several engines — e.g.
-    the per-rank sub-engines of a distributed run — in which case the
-    profile aggregates across them).
+    the per-slice engines of a simulated sliced parallel run — in which
+    case the profile aggregates across them).
 
     Backends may additionally implement the **optional** stacked-wave
     method (deliberately not part of the runtime-checkable protocol, so
@@ -989,8 +989,8 @@ def get_backend(spec: "str | KernelBackend | None" = None) -> KernelBackend:
     ``None`` reads :data:`DEFAULT_BACKEND_ENV` (default ``reference``);
     a string is looked up in the registry (fresh instance per call); an
     already-constructed backend passes through unchanged — which is how
-    multi-engine drivers (partitioned, fork-join, distributed) share one
-    instance and hence one aggregated profile.
+    multi-engine drivers (partitioned, simulated sliced parallel) share
+    one instance and hence one aggregated profile.
     """
     if spec is None:
         spec = os.environ.get(DEFAULT_BACKEND_ENV, "reference")
@@ -1058,11 +1058,13 @@ def make_engine(
     engine subclasses.
 
     ``workers > 1`` returns a
-    :class:`~repro.parallel.forkjoin.ForkJoinEngine` running ``workers``
-    site slices on the given ``execution`` substrate (``simulated``,
-    ``threads`` or ``processes``); results stay bit-identical to the
-    serial engine.  The parallel engines own OS resources — call
-    ``close()`` (or use them as context managers) when done.
+    :class:`~repro.parallel.forkjoin.ForkJoinEngine` — the
+    :class:`~repro.parallel.sliced.SlicedEngine` under the fork-join sync
+    policy — running ``workers`` site slices on the given ``execution``
+    substrate (``simulated``, ``threads`` or ``processes``); results stay
+    bit-identical to the serial engine.  The parallel engines own OS
+    resources — call ``close()`` (or use them as context managers) when
+    done.
 
     ``auto=True`` (equivalently ``backend="auto"``) asks the autotuner
     (:mod:`repro.perf.autotune`) for the backend / execution / workers /
@@ -1118,21 +1120,6 @@ def make_engine(
 
         if cat is not None and rates is not None:
             raise ValueError("cat replaces Gamma rates; pass rates=None")
-        # Thread/process substrates build per-worker instances from a
-        # *name*; translate registered instances here so callers get a
-        # boundary error instead of a failure deep inside the pool.
-        if backend is not None and not isinstance(backend, str):
-            if execution != "simulated":
-                name = resolve_backend_name(backend)
-                if name is None:
-                    raise ValueError(
-                        f"execution={execution!r} with workers={workers} "
-                        "requires a backend *name* (each worker builds its "
-                        "own instance); got an unregistered "
-                        f"{type(backend).__name__} instance — pass one of: "
-                        + ", ".join(sorted(_REGISTRY))
-                    )
-                backend = name
         return ForkJoinEngine(
             patterns,
             tree,

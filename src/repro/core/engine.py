@@ -691,8 +691,8 @@ class LikelihoodEngine:
 
         Unlike :attr:`counters` (which tracks this engine's dispatches),
         the profile lives on the backend and aggregates across every
-        engine sharing that backend instance — e.g. all ranks of a
-        :class:`~repro.parallel.distributed.DistributedEngine`.
+        engine sharing that backend instance — e.g. all slices of a
+        simulated :class:`~repro.parallel.sliced.SlicedEngine`.
         """
         return self.backend.profile
 

@@ -423,7 +423,8 @@ class KernelCounters:
 
         Used to combine per-worker counters into one engine-wide view;
         callers are responsible for not merging the same source twice
-        (see ``ForkJoinEngine.counters`` for the dedup-by-identity rule).
+        (see :func:`repro.parallel.sliced.merged_backend_profile` for the
+        dedup-by-identity rule).
         """
         for kind, n in other.calls.items():
             self.calls[kind] = self.calls.get(kind, 0) + n

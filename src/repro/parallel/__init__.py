@@ -1,11 +1,14 @@
-"""Simulated parallel runtimes: MPI, OpenMP, PThreads, and ExaML's scheme.
+"""Parallel runtimes: MPI, OpenMP, PThreads, and ExaML's scheme.
 
 Cost models for collectives and fork-join synchronisation (calibrated to
 the paper's measured latencies), the canonical run configurations of the
 evaluation (flat MPI, hybrid MPI x OpenMP, PThreads fork-join), the
-trace-driven end-to-end run model behind Table III, and a functional
-distributed engine demonstrating ExaML's communicate-only-at-reductions
-scheme with bit-level agreement against the serial engine.
+trace-driven end-to-end run model behind Table III, and one sliced
+parallel engine (:class:`SlicedEngine`) whose two sync policies are
+RAxML-Light's fork-join (:class:`ForkJoinEngine`) and ExaML's
+communicate-only-at-reductions scheme (:class:`DistributedEngine`), on
+simulated, thread or process substrates, bit-identical to the serial
+engine.
 """
 
 from .distribute import SiteDistribution, distribute_block, distribute_cyclic
@@ -21,6 +24,7 @@ from .pool import (
     slice_cat,
 )
 from .shm import ArenaLayout, SharedArena, active_arena_segments
+from .sliced import SlicedEngine
 from .hybrid import (
     MIC_ONCARD_MPI,
     ParallelConfig,
@@ -47,6 +51,7 @@ __all__ = [
     "distribute_cyclic",
     "DistributedEngine",
     "ExaMLModel",
+    "SlicedEngine",
     "EXECUTION_MODES",
     "ForkJoinEngine",
     "merged_backend_profile",

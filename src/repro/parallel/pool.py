@@ -284,7 +284,6 @@ def _worker_main(conn, cfg: dict) -> None:
         cfg["hi"],
     )
     plans: dict[int, object] = {}
-    partial = arena.view("partial")
 
     while True:
         try:
@@ -320,33 +319,25 @@ def _worker_main(conn, cfg: dict) -> None:
                         engine.executor.run_wave(plan.waves[k])
             elif cmd == "root":
                 root_edge = msg[1]
-                for owner, (engine, lo, hi) in engines.items():
+                for engine, lo, hi in engines.values():
                     engine.ensure_valid(root_edge)
-                    site = engine.site_log_likelihoods(root_edge)
-                    arena.view("site")[lo:hi] = site
-                    partial[owner, 0] = float(
-                        np.dot(site, engine.patterns.weights)
+                    arena.view("site")[lo:hi] = engine.site_log_likelihoods(
+                        root_edge
                     )
             elif cmd == "sumbuf":
                 root_edge = msg[1]
-                for owner, (engine, lo, hi) in engines.items():
+                for engine, lo, hi in engines.values():
                     sb = engine.edge_sum_buffer(root_edge)
                     _write_sumbuf(arena, lo, hi, sb)
             elif cmd == "deriv":
                 t = msg[1]
                 terms = arena.view("terms")
-                for owner, (engine, lo, hi) in engines.items():
+                for engine, lo, hi in engines.values():
                     sb = _read_sumbuf(arena, lo, hi, engine)
                     l0, l1, l2 = engine.derivative_site_terms(sb, t)
                     terms[0, lo:hi] = l0
                     terms[1, lo:hi] = l1
                     terms[2, lo:hi] = l2
-                    w = engine.patterns.weights
-                    # Accounting-only partials (raw dots): the master's
-                    # reported derivatives come from the gathered lanes.
-                    partial[owner, 1] = float(np.dot(l0, w))
-                    partial[owner, 2] = float(np.dot(l1, w))
-                    partial[owner, 3] = float(np.dot(l2, w))
             elif cmd == "grad":
                 root_edge = msg[1]
                 # Per-owner all-branch gradient *site terms*: the pre-order
@@ -504,7 +495,6 @@ class WorkerPool:
             n_rates=n_rates,
             n_states=n_states,
             n_taxa=len(patterns.taxa),
-            n_workers=n_workers,
             n_slots=4 * max(tree.n_leaves, 2) + 16,
             tip_dtype=patterns.data.dtype,
         )
@@ -704,7 +694,7 @@ class WorkerPool:
         self._region("wave", ("wave", k))
 
     def root(self, root_edge: int) -> None:
-        """Fill the site lane + per-worker partial lnL for ``root_edge``."""
+        """Fill the per-site lnL lane for ``root_edge``."""
         self._region("root", ("root", root_edge))
 
     def sumbuf(self, root_edge: int) -> SumBufferHandle:
@@ -780,9 +770,6 @@ class WorkerPool:
 
     def terms_lane(self) -> np.ndarray:
         return self.arena.view("terms")
-
-    def partial_lane(self) -> np.ndarray:
-        return self.arena.view("partial")
 
     # -- observability --------------------------------------------------
     def worker_reports(self) -> dict[int, dict]:

@@ -22,7 +22,6 @@ Region map (``p`` = patterns, ``c`` = rate categories, ``k`` = states)::
     site     (p,)         per-site lnL lane   worker-written, master-read
     terms    (3, p)       derivative site terms (l, l', l'')
     sumbuf   (p, c, k)    the live ``derivativeSum`` buffer
-    partial  (workers, 4) per-worker partial reductions (accounting lane)
 
 The module tracks every segment this process created;
 :func:`active_arena_segments` lets tests and CI assert that engines
@@ -120,7 +119,6 @@ class SharedArena:
         n_rates: int,
         n_states: int,
         n_taxa: int,
-        n_workers: int,
         n_slots: int,
         tip_dtype: "np.dtype | str" = np.uint8,
     ) -> "SharedArena":
@@ -132,7 +130,6 @@ class SharedArena:
             ("site", (n_patterns,), np.dtype(np.float64)),
             ("terms", (3, n_patterns), np.dtype(np.float64)),
             ("sumbuf", (n_patterns, n_rates, n_states), np.dtype(np.float64)),
-            ("partial", (n_workers, 4), np.dtype(np.float64)),
         ]
         layout = _build_layout(specs)
         name = f"{ARENA_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
@@ -195,8 +192,6 @@ class SharedArena:
             return v[:, lo:hi]
         if name == "cla":
             return v[:, lo:hi]
-        if name == "partial":
-            raise ValueError("partial lane is per-worker, not per-site")
         raise KeyError(f"no arena region named {name!r}")
 
     def cla_slot(self, slot: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

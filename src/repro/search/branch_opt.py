@@ -137,10 +137,8 @@ def _branch_signature(engine, edge_id: int):
     """
     if hasattr(engine, "_signatures"):
         targets = [engine]
-    elif getattr(engine, "workers", None):  # fork-join (simulated/threads)
+    elif getattr(engine, "workers", None):  # sliced (simulated/threads)
         targets = [engine.workers[0]]
-    elif getattr(engine, "ranks", None):  # distributed (simulated)
-        targets = [engine.ranks[0]]
     elif getattr(engine, "engines", None):  # partitioned: every model counts
         targets = engine.engines
     else:

@@ -8,7 +8,7 @@ Architecture (DESIGN.md §12):
   LRU), an optional resident reference engine (``session.warm()``
   through the memsave machinery), and, for process-parallel tenants, a
   labelled resident :class:`~repro.parallel.forkjoin.ForkJoinEngine`
-  worker pool the faults layer reports on.
+  (the sliced engine over a process pool) the faults layer reports on.
 - Each tenant runs a single **dispatcher thread**: concurrent HTTP
   requests enqueue their queries, the dispatcher waits a short batching
   window, coalesces compatible pending requests (disjoint query names,

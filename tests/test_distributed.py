@@ -29,19 +29,14 @@ class TestEquivalence:
         dist = DistributedEngine(
             pat, sim.tree.copy(), model, gamma, n_ranks=n_ranks
         )
-        assert dist.log_likelihood() == pytest.approx(
-            serial.log_likelihood(), abs=1e-8
-        )
+        assert dist.log_likelihood() - serial.log_likelihood() == 0.0
 
     def test_site_lnl_gathered_in_order(self, problem):
         sim, pat, model, gamma = problem
         serial = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
         dist = DistributedEngine(pat, sim.tree.copy(), model, gamma, n_ranks=3)
-        np.testing.assert_allclose(
-            dist.site_log_likelihoods(),
-            serial.site_log_likelihoods(),
-            atol=1e-10,
-        )
+        delta = dist.site_log_likelihoods() - serial.site_log_likelihoods()
+        assert np.max(np.abs(delta)) == 0.0
 
     def test_derivatives_match_serial(self, problem):
         sim, pat, model, gamma = problem
@@ -54,8 +49,8 @@ class TestEquivalence:
         for t in (0.05, 0.2, 0.9):
             a = serial.branch_derivatives(sb_serial, t)
             b = dist.branch_derivatives(sb_dist, t)
-            assert a[1] == pytest.approx(b[1], rel=1e-10)
-            assert a[2] == pytest.approx(b[2], rel=1e-10)
+            assert a[1] - b[1] == 0.0
+            assert a[2] - b[2] == 0.0
 
     def test_block_distribution_also_exact(self, problem):
         sim, pat, model, gamma = problem
@@ -68,9 +63,7 @@ class TestEquivalence:
             n_ranks=4,
             distribution=distribute_block(pat.n_patterns, 4),
         )
-        assert dist.log_likelihood() == pytest.approx(
-            serial.log_likelihood(), abs=1e-8
-        )
+        assert dist.log_likelihood() - serial.log_likelihood() == 0.0
 
 
 class TestSearchOnDistributedEngine:
