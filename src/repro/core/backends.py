@@ -485,11 +485,16 @@ class _BackendBase:
       l2)`` against the :func:`kernels.derivative_factors` tables;
     * ``_gradient_terms(z_top, z_bottom, m0, m1, m2)`` — the same,
       fused with the product;
+    * optionally ``_ratio_terms(sumbuf, m0, m1, m2)`` — the site phase
+      fused with :func:`kernels.derivative_ratios`, by default the two
+      run one after the other;
     * optionally ``_pair_table(u_inv, lut1, lut2)`` — the all-pairs
       tip-tip table, which turns on the shared :meth:`newview_batch`.
 
-    The log, the positivity check, the factor tables and the reductions
-    are the shared phases below, written once.
+    The log, the positivity checks, the factor tables and the reductions
+    are the shared phases below, written once (a fused ``_ratio_terms``
+    may flag non-positive sites itself, but raises through
+    :func:`kernels.check_derivative_sites`).
     """
 
     name = "base"
@@ -564,10 +569,18 @@ class _BackendBase:
 
     def _derivative_core(self, sumbuf, eigenvalues, rates, rate_weights, t,
                          pattern_weights):
-        return kernels.derivative_reduce(
-            *self._derivative_site_terms(sumbuf, eigenvalues, rates,
-                                         rate_weights, t),
+        return kernels.derivative_sums(
+            *self._ratio_terms(
+                sumbuf,
+                *kernels.derivative_factors(eigenvalues, rates, rate_weights,
+                                            t),
+            ),
             pattern_weights,
+        )
+
+    def _ratio_terms(self, sumbuf, m0, m1, m2):
+        return kernels.derivative_ratios(
+            *self._factor_terms(sumbuf, m0, m1, m2)
         )
 
     def _edge_gradient_terms(self, z_top, z_bottom, eigenvalues, rates,

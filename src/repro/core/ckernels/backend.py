@@ -14,11 +14,22 @@ Division of labour per kernel:
 
 * all per-site arithmetic (CLA contractions, scaling, site-likelihood
   and derivative site phases, element-wise products) runs in C;
-* transcendental *tables* (``exp`` factors) and final reductions
-  (``np.log``/``np.dot``/:func:`repro.core.kernels.derivative_reduce`)
-  are the base class's shared phases in NumPy, so reduction order — and
-  hence every scalar the engines compare — is produced by exactly the
-  same code path as the reference backend.
+* for ``derivative_core`` on a C-contiguous sum buffer, one C pass also
+  does the element-wise half of the reduction
+  (:func:`repro.core.kernels.derivative_ratios`: the ``l <= 0`` flag,
+  ``l'/l`` and ``l''/l - (l'/l)^2``).  Those are IEEE ``/``, ``*`` and
+  ``-`` only, which give NumPy's bits when compiled without FMA
+  contraction; the error for a flagged site is still raised by the
+  shared NumPy check, so its text is the same.  Other layouts take the
+  base class's two-step path;
+* ``exp`` (the factor tables), ``np.log`` and the ``np.dot``
+  reductions (:func:`repro.core.kernels.derivative_sums`, the
+  ``evaluate`` dot) stay the base class's shared phases in NumPy, so
+  every scalar the engines compare comes from the same code path as
+  the reference backend.  They stay there because libm's ``exp`` and
+  ``log`` round differently from NumPy's SIMD loops (on an AVX-512
+  host ``exp`` differs in the last bit on about 5 % of inputs), and a
+  Newton search turns one-ulp differences into a different trajectory.
 
 ctypes releases the GIL for the duration of each call, so the
 ``threads`` worker substrate gets genuine parallel speedup from this
@@ -38,6 +49,7 @@ import warnings
 
 import numpy as np
 
+from .. import kernels
 from ..backends import BlockedBackend, _BackendBase
 from .build import CompilerUnavailable, load_kernels
 
@@ -230,6 +242,29 @@ class CompiledBackend(_BackendBase):
             l0.ctypes.data, l1.ctypes.data, l2.ctypes.data,
         )
         return l0, l1, l2
+
+    def _ratio_terms(self, sumbuf, m0, m1, m2):
+        """Site terms and :func:`~repro.core.kernels.derivative_ratios` in
+        one C pass over a C-contiguous float64 sum buffer.
+
+        ``m0``/``m1``/``m2`` are the fresh C-contiguous float64 ``(c, k)``
+        tables of :func:`~repro.core.kernels.derivative_factors`.  Any
+        other sum-buffer layout takes the base class's two-step path.
+        """
+        if not (
+            sumbuf.dtype == np.float64
+            and sumbuf.flags.c_contiguous
+            and sumbuf.shape[1:] == m0.shape
+        ):
+            return super()._ratio_terms(sumbuf, m0, m1, m2)
+        p, c, k = sumbuf.shape
+        out = np.empty((3, p))
+        if self._lib(k, c).deriv_core_terms(
+            p, sumbuf.ctypes.data, m0.ctypes.data, m1.ctypes.data,
+            m2.ctypes.data, out.ctypes.data,
+        ):
+            kernels.check_derivative_sites(out[0])
+        return out[0], out[1], out[2]
 
     def _gradient_terms(self, z_top, z_bottom, m0, m1, m2):
         m0, m1, m2 = _f64(m0), _f64(m1), _f64(m2)

@@ -281,6 +281,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         i64, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr
     ]
     lib.deriv_site_terms.restype = None
+    lib.deriv_core_terms.argtypes = [i64] + [ptr] * 5
+    lib.deriv_core_terms.restype = i64
     lib.grad_site_terms.argtypes = [
         i64, ptr, i64, i64, i64, ptr, i64, i64, i64,
         ptr, ptr, ptr, ptr, ptr, ptr,

@@ -60,6 +60,9 @@ __all__ = [
     "factor_site_terms",
     "derivative_site_terms",
     "derivative_reduce",
+    "derivative_ratios",
+    "check_derivative_sites",
+    "derivative_sums",
     "derivative_core",
     "edge_gradient_terms",
     "edge_gradient",
@@ -396,6 +399,32 @@ def derivative_reduce(
     (sequential, per-worker slices gathered in pattern order, ...) —
     ``np.dot`` over the same full-length arrays always reduces in the
     same order, so parallel results match sequential ones bit-for-bit.
+    It is :func:`derivative_ratios` followed by :func:`derivative_sums`;
+    a backend may compute the element-wise half itself, fused with its
+    site phase, and hand the result to the same :func:`derivative_sums`.
+    """
+    return derivative_sums(*derivative_ratios(l0, l1, l2), pattern_weights)
+
+
+def derivative_ratios(
+    l0: np.ndarray, l1: np.ndarray, l2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-wise half of :func:`derivative_reduce`: ``(l, r, q)``.
+
+    ``r = l'/l`` and ``q = l''/l - r*r`` per pattern, after
+    :func:`check_derivative_sites`.  Only IEEE ``/``, ``*`` and ``-``,
+    so a C loop compiled without FMA contraction gives the same bits.
+    """
+    check_derivative_sites(l0)
+    r1 = l1 / l0
+    return l0, r1, l2 / l0 - r1 * r1
+
+
+def check_derivative_sites(l0: np.ndarray) -> None:
+    """Raise on a non-positive per-pattern likelihood (NaN is not flagged).
+
+    The message names the ``np.argmin`` pattern, as every backend reports
+    it.
     """
     if np.any(l0 <= 0.0):
         bad = int(np.argmin(l0))
@@ -403,8 +432,20 @@ def derivative_reduce(
             f"non-positive site likelihood {l0[bad]:g} at pattern {bad} "
             "during branch-length derivative evaluation"
         )
-    r1 = l1 / l0
+
+
+def derivative_sums(
+    l0: np.ndarray,
+    r1: np.ndarray,
+    q: np.ndarray,
+    pattern_weights: np.ndarray,
+) -> tuple[float, float, float]:
+    """Weighted sums of :func:`derivative_ratios`: ``(lnL, dlnL, d2lnL)``.
+
+    ``np.log`` and the ``np.dot`` reductions stay in NumPy for every
+    backend, so the three scalars come from one code path.
+    """
     lnl = float(np.dot(np.log(l0), pattern_weights))
     d1 = float(np.dot(r1, pattern_weights))
-    d2 = float(np.dot(l2 / l0 - r1 * r1, pattern_weights))
+    d2 = float(np.dot(q, pattern_weights))
     return lnl, d1, d2

@@ -433,10 +433,13 @@ class Tree:
 
     def spr(
         self, pendant_edge: int, target_edge: int, subtree_root: int | None = None
-    ) -> tuple[int, Callable[[], None]]:
+    ) -> tuple[int, Callable[[], int]]:
         """Perform an SPR move; returns ``(new_pendant_edge, undo)``.
 
-        ``undo`` restores the exact previous topology and branch lengths.
+        ``undo`` restores the exact previous topology and branch lengths
+        and returns the id of the pendant edge it re-creates.  The
+        subtree root keeps its node id through the move and the undo;
+        the attachment node and the edges around it get new ids.
         ``target_edge`` must survive the prune (i.e. not be one of the two
         edges merged away at the old attachment point).
         """
@@ -448,13 +451,13 @@ class Tree:
             )
         mid, pend = self.regraft(rec.subtree_root, target_edge, rec.pendant_length)
 
-        def undo() -> None:
+        def undo() -> int:
             rec2 = self.prune_subtree(pend, rec.subtree_root)
             # Re-split the merged edge between x and y at original lengths.
             merged = self.find_edge(rec.attach_x, rec.attach_y)
             frac = rec.len_x / (rec.len_x + rec.len_y)
             mid2 = self.split_edge(merged, frac)
-            self.add_edge(mid2, rec2.subtree_root, rec.pendant_length)
+            return self.add_edge(mid2, rec2.subtree_root, rec.pendant_length)
 
         return pend, undo
 

@@ -80,50 +80,34 @@ def _spr_round_impl(
     stats = SprRoundStats(lnl_before=engine.log_likelihood())
     current = stats.lnl_before
 
-    # Trial moves delete and recreate nodes and edges (both ids churn), so
-    # a candidate pruning is identified purely semantically: by the
-    # leaf-name set of the pruned subtree.  The live pendant edge and
-    # subtree-root node are re-located from the leaf set before every
-    # trial.  Candidates are re-enumerated from the live tree after each
-    # processed subtree, since accepted moves create new prunable
-    # subtrees.
-    def enumerate_candidates() -> list[frozenset[str]]:
+    # Trial moves delete and recreate nodes and edges, so a candidate
+    # pruning is identified semantically, by the leaf-name set of the
+    # pruned subtree, and candidates are re-enumerated from the live tree
+    # after each processed subtree (accepted moves create new prunable
+    # subtrees); the enumeration also gives the candidate's current
+    # ``(pendant_edge, subtree_root)``.  Within the trial loop the subtree
+    # root keeps its node id and each undo returns the re-created pendant
+    # edge, so the subtree never has to be searched for again.
+    def enumerate_candidates() -> list[tuple[frozenset[str], int, int]]:
         out = []
         for e in tree.edges:
             for attach, sub in ((e.u, e.v), (e.v, e.u)):
                 if not tree.is_leaf(attach) and tree.degree(attach) == 3:
-                    out.append(
-                        frozenset(
-                            tree.name(n) for n in tree.subtree_leaves(sub, e.id)
-                        )
+                    leafset = frozenset(
+                        tree.name(n) for n in tree.subtree_leaves(sub, e.id)
                     )
+                    out.append((leafset, e.id, sub))
         return out
-
-    def locate(leafset: frozenset[str]) -> tuple[int, int] | None:
-        """Current ``(pendant_edge, subtree_root)`` of a leaf set, if any."""
-        for e in tree.edges:
-            for attach, sub in ((e.u, e.v), (e.v, e.u)):
-                if tree.is_leaf(attach) or tree.degree(attach) != 3:
-                    continue
-                side = frozenset(
-                    tree.name(n) for n in tree.subtree_leaves(sub, e.id)
-                )
-                if side == leafset:
-                    return e.id, sub
-        return None
 
     processed: set[frozenset[str]] = set()
     while True:
-        leafset = next(
-            (c for c in enumerate_candidates() if c not in processed), None
+        candidate = next(
+            (c for c in enumerate_candidates() if c[0] not in processed), None
         )
-        if leafset is None:
+        if candidate is None:
             break
+        leafset, pendant, sub = candidate
         processed.add(leafset)
-        located = locate(leafset)
-        if located is None:
-            continue
-        pendant, sub = located
         target_pairs = [
             (tree.edge(t).u, tree.edge(t).v)
             for t in tree.spr_candidates(pendant, radius, subtree_root=sub)
@@ -131,10 +115,6 @@ def _spr_round_impl(
         best_pair = None
         best_lnl = current + epsilon
         for u, v in target_pairs:
-            located = locate(leafset)
-            if located is None:  # pragma: no cover - defensive
-                break
-            pendant, sub = located
             try:
                 target = tree.find_edge(u, v)
             except KeyError:  # pragma: no cover - defensive
@@ -142,12 +122,11 @@ def _spr_round_impl(
             new_pendant, undo = tree.spr(pendant, target, subtree_root=sub)
             stats.moves_tried += 1
             lnl = _lazy_insertion_score(engine, new_pendant, newton_iterations)
-            undo()
+            pendant = undo()
             if lnl > best_lnl:
                 best_lnl = lnl
                 best_pair = (u, v)
         if best_pair is not None:
-            pendant, sub = locate(leafset)
             best_target = tree.find_edge(*best_pair)
             new_pendant, _ = tree.spr(pendant, best_target, subtree_root=sub)
             # Polish the branches around the new junction.

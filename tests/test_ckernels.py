@@ -186,6 +186,73 @@ class TestPreorderAndGradientParity:
             assert g == pytest.approx(r, rel=1e-10, abs=ATOL)
 
 
+class TestDerivativeCoreFused:
+    """``derivative_core`` fuses the site terms with the element-wise half
+    of the reduction in C; the result must equal the two-step path —
+    ``kernels.derivative_reduce`` over the backend's own site terms — bit
+    for bit, on every sum-buffer layout, with the same error text."""
+
+    T = 0.37
+
+    def _args(self, sumbuf, d):
+        return (sumbuf, d["eigenvalues"], d["rates"], d["rate_weights"],
+                self.T, d["pattern_weights"])
+
+    @pytest.mark.parametrize("p", [1, 37, 800])
+    @pytest.mark.parametrize("layout", ["contiguous", "tip", "strided"])
+    def test_bitwise_equal_to_two_step(self, p, layout):
+        d = _random_inputs(p, p, 4)
+        sumbuf = d["z1"] * d["z2"]
+        if layout == "tip":
+            sumbuf = np.ascontiguousarray(sumbuf[:, :1, :])
+        elif layout == "strided":
+            sumbuf = np.concatenate([sumbuf, sumbuf], axis=2)[:, :, ::2]
+            assert not sumbuf.flags.c_contiguous
+        backend = CompiledBackend()
+        m = kernels.derivative_factors(
+            d["eigenvalues"], d["rates"], d["rate_weights"], self.T
+        )
+        terms = backend._call("_factor_terms", (sumbuf, *m))
+        # per-pattern ratios first: ulp slips can vanish in the dot sums
+        for got, want in zip(
+            backend._call("_ratio_terms", (sumbuf, *m)),
+            kernels.derivative_ratios(*terms),
+        ):
+            np.testing.assert_array_equal(got, want)
+        got = backend.derivative_core(*self._args(sumbuf, d))
+        assert got == kernels.derivative_reduce(*terms, d["pattern_weights"])
+
+    def _raises(self, backend, sumbuf, d) -> str:
+        with pytest.raises(FloatingPointError) as info:
+            backend.derivative_core(*self._args(sumbuf, d))
+        return str(info.value)
+
+    def test_planted_zero_site_same_error_as_blocked(self):
+        d = _random_inputs(5, 64, 4)
+        sumbuf = d["z1"] * d["z2"]
+        sumbuf[5] = 0.0
+        sumbuf[9] *= -1.0  # the argmin, so the message names pattern 9
+        msg = self._raises(CompiledBackend(), sumbuf, d)
+        assert msg == self._raises(BlockedBackend(), sumbuf, d)
+        assert "at pattern 9 " in msg
+
+    def test_nan_site_is_not_flagged(self):
+        d = _random_inputs(6, 64, 4)
+        sumbuf = d["z1"] * d["z2"]
+        sumbuf[3] = np.nan
+        backend = CompiledBackend()
+        got = backend.derivative_core(*self._args(sumbuf, d))
+        assert np.isnan(got).all()
+        np.testing.assert_array_equal(
+            got, BlockedBackend().derivative_core(*self._args(sumbuf, d))
+        )
+        # with a zero site as well, argmin picks the NaN, as in NumPy
+        sumbuf[7] = 0.0
+        msg = self._raises(backend, sumbuf, d)
+        assert msg == self._raises(BlockedBackend(), sumbuf, d)
+        assert "nan at pattern 3 " in msg
+
+
 class TestNewviewBatch:
     """Stacked wave dispatch matches per-op dispatch bit-for-bit."""
 

@@ -170,3 +170,68 @@ class TestFullSearch:
         # the provided tree is copied, not mutated
         assert start.robinson_foulds(sim.tree) == 0
         assert res.lnl < 0
+
+
+def _host_numerics() -> tuple[str, bool]:
+    """NumPy version and AVX-512F: what picks NumPy's exp/log SIMD loops
+    and the bundled BLAS kernels, and so the last bits of a search."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return np.__version__, bool(__cpu_features__.get("AVX512F"))
+
+
+#: ``ml_search`` on ``simulate_dataset(8 taxa, 200 sites, seed 7)`` with
+#: ``SearchConfig(seed=7)`` — the CLI's tiny CI alignment — recorded on
+#: the host class below.
+GOLDEN_HOST = ("2.4.6", True)
+GOLDEN_SEARCH = {
+    "compiled": (
+        "-1239.915730321042",
+        "(taxon00:0.060207,taxon07:0.064001,(taxon03:0.026333,(taxon01:"
+        "0.111737,(taxon04:0.025798,(taxon06:0.280109,(taxon05:0.307833,"
+        "taxon02:0.155902):0.193831):0.006316):0.204663):0.099529):0.214465);",
+        {"derivative_core": 3234, "derivative_sum": 344, "evaluate": 415,
+         "newview_inner_inner": 339, "newview_tip_inner": 1310,
+         "newview_tip_tip": 633},
+    ),
+    "blocked": (
+        "-1239.915743267738",
+        "(taxon00:0.060207,taxon07:0.064000,(taxon03:0.026333,(taxon01:"
+        "0.111737,(taxon04:0.025798,(taxon06:0.280110,(taxon05:0.307833,"
+        "taxon02:0.155902):0.193830):0.006317):0.204663):0.099529):0.214467);",
+        {"derivative_core": 2877, "derivative_sum": 344, "evaluate": 415,
+         "newview_inner_inner": 339, "newview_tip_inner": 1310,
+         "newview_tip_tip": 633},
+    ),
+}
+
+
+@pytest.mark.skipif(
+    _host_numerics() != GOLDEN_HOST,
+    reason="golden trajectory recorded with NumPy 2.4.6 on an AVX-512 host",
+)
+@pytest.mark.parametrize("backend_name", sorted(GOLDEN_SEARCH))
+def test_search_trajectory_golden(backend_name):
+    """The search makes exactly the same moves, kernel calls and output
+    bytes as when the figures were recorded.
+
+    A Newton step accepted or damped on rounding noise changes the call
+    counts, so a change meant to remove overhead only must keep every
+    figure here; one that changes the arithmetic re-records them.
+    """
+    from repro.core.backends import BlockedBackend
+    from repro.core.ckernels import CompiledBackend
+
+    backend = {"compiled": CompiledBackend, "blocked": BlockedBackend}[
+        backend_name
+    ]()
+    if getattr(backend, "fallback_reason", None):
+        pytest.skip("no C toolchain: compiled would run blocked")
+    sim = simulate_dataset(n_taxa=8, n_sites=200, seed=7)
+    res = ml_search(sim.alignment, config=SearchConfig(seed=7), backend=backend)
+    lnl, newick, calls = GOLDEN_SEARCH[backend_name]
+    assert repr(res.lnl) == lnl
+    assert res.newick == newick
+    assert {k.value: n for k, n in backend.profile.calls.items()} == calls

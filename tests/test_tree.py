@@ -137,6 +137,63 @@ class TestMoves:
         assert t.robinson_foulds(t2) == 0
         assert t.total_branch_length() == pytest.approx(before_total)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spr_undo_returns_the_recreated_pendant_edge(self, seed):
+        """Over random trees and moves, ``undo()`` returns the pendant edge
+        a leaf-set search of the whole tree finds, the subtree root keeps
+        its id, and topology and lengths come back."""
+        rng = np.random.default_rng(seed)
+        t = random_topology([f"t{i}" for i in range(6 + 2 * seed)], rng)
+
+        def prunable():
+            return [
+                (e.id, sub)
+                for e in t.edges
+                for attach, sub in ((e.u, e.v), (e.v, e.u))
+                if not t.is_leaf(attach) and t.degree(attach) == 3
+            ]
+
+        def side(eid, sub):
+            return frozenset(t.name(n) for n in t.subtree_leaves(sub, eid))
+
+        def split_lengths():
+            """Each edge's length keyed by its side without the first taxon."""
+            names = frozenset(t.leaf_names())
+            first = min(names)
+            out = {}
+            for e in t.edges:
+                s = side(e.id, e.u)
+                out[names - s if first in s else s] = e.length
+            return out
+
+        moves = 0
+        for _ in range(25):
+            options = prunable()
+            pendant, sub = options[int(rng.integers(len(options)))]
+            leafset = side(pendant, sub)
+            radius = int(rng.integers(1, 6))
+            targets = t.spr_candidates(pendant, radius, subtree_root=sub)
+            before = t.copy()
+            lengths = split_lengths()
+            for target in targets:
+                new_pendant, undo = t.spr(pendant, target, subtree_root=sub)
+                t.check()
+                assert sub in (t.edge(new_pendant).u, t.edge(new_pendant).v)
+                assert side(new_pendant, sub) == leafset
+                pendant = undo()
+                t.check()
+                moves += 1
+                (located,) = [
+                    (eid, s) for eid, s in prunable() if side(eid, s) == leafset
+                ]
+                assert located == (pendant, sub)
+                assert t.robinson_foulds(before) == 0
+                restored = split_lengths()
+                assert restored.keys() == lengths.keys()
+                for split, length in lengths.items():
+                    assert restored[split] == pytest.approx(length, rel=1e-12)
+        assert moves > 0
+
     def test_spr_changes_topology(self):
         t = six_taxa()
         before = t.copy()
